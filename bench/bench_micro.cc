@@ -10,11 +10,9 @@
 // runs embed (Word2Vec training) + vectorize + cluster + group (signature
 // group-by in isolation) + ingest (multi-batch pipelined incremental
 // discovery) on an LDBC-like graph (>= 100k elements at the default scale)
-// at 1/2/4/hw threads and writes per-stage speedup JSON, plus a shard
-// stage sweeping --shards at 1/2/4 at a fixed hardware-thread budget (its
-// "threads" JSON field carries the shard count). Every entry also carries
-// "eps" (absolute single-run throughput in elements/sec) so bench_diff
-// --mode=eps can gate on throughput drops the ratio gate misses.
+// at 1/2/4/hw threads and writes per-stage speedup JSON. Every entry also
+// carries "eps" (absolute single-run throughput in elements/sec) so
+// bench_diff --mode=eps can gate on throughput drops the ratio gate misses.
 //
 //   bench_micro --rowcol_json=PREFIX [--speedup_scale=S]
 //
@@ -420,33 +418,8 @@ int RunSpeedupSweep(const std::string& json_path, double scale) {
     }));
   }
 
-  // Shard-count sweep at a fixed thread budget (hardware concurrency) on
-  // the same ~30k-element ingest graph: the scaling curve of consistent-
-  // hash sharded discovery as --shards grows. The sweep JSON schema has no
-  // second axis, so the `threads` field of these entries carries the SHARD
-  // count ("shard/threads=4" = 4 shards) — bench_diff then tracks the
-  // curve automatically. shards=1 is the unsharded baseline, so `speedup`
-  // reads as the end-to-end gain (or partitioning overhead) of sharding.
-  StageTimes shard{"shard", {}, {},
-                   ingest_dataset.graph.num_nodes() +
-                       ingest_dataset.graph.num_edges()};
-  for (size_t num_shards : {size_t{1}, size_t{2}, size_t{4}}) {
-    shard.threads.push_back(num_shards);
-    shard.ms.push_back(MinMillisOf3([&] {
-      pg::PropertyGraph shard_graph = ingest_dataset.graph;
-      core::PgHiveOptions shard_options;
-      shard_options.num_threads = 0;  // Hardware concurrency, fixed.
-      shard_options.pipeline_depth = 3;
-      shard_options.num_shards = num_shards;
-      core::PgHive hive(&shard_graph, shard_options);
-      core::BatchPipeline shard_pipeline(&hive);
-      benchmark::DoNotOptimize(shard_pipeline.Run(ingest_batches));
-      benchmark::DoNotOptimize(hive.Finish());
-    }));
-  }
-
   const StageTimes* stages[] = {&embed_stage, &vectorize, &cluster, &group,
-                                &ingest,      &shard};
+                                &ingest};
   const size_t num_stages = sizeof(stages) / sizeof(stages[0]);
   if (WriteStagesJson(json_path, "pghive_parallel_sweep", scale,
                       batch.node_ids.size(), batch.edge_ids.size(), stages,

@@ -1,5 +1,6 @@
 #include "core/options.h"
 
+#include <cmath>
 #include <utility>
 
 #include "util/parse.h"
@@ -17,23 +18,27 @@ util::Status PgHiveOptions::Validate() const {
         "pipeline-depth must be in [1, " + std::to_string(kMaxPipelineDepth) +
         "] (1 = sequential ingest), got " + std::to_string(pipeline_depth));
   }
-  if (num_shards < 1 || num_shards > kMaxShards) {
-    return util::Status::OutOfRange(
-        "shards must be in [1, " + std::to_string(kMaxShards) +
-        "] (1 = unsharded), got " + std::to_string(num_shards));
-  }
   if (embedding_dim == 0) {
     return util::Status::OutOfRange("embedding_dim must be >= 1");
   }
-  if (jaccard_threshold < 0.0 || jaccard_threshold > 1.0) {
+  // Written as negated in-range tests so a NaN, which fails every
+  // comparison, is rejected too.
+  if (!(jaccard_threshold >= 0.0 && jaccard_threshold <= 1.0)) {
     return util::Status::OutOfRange("jaccard_threshold must be in [0, 1]");
   }
-  if (alpha_scale <= 0.0) {
-    return util::Status::OutOfRange("alpha_scale must be > 0");
+  if (!std::isfinite(alpha_scale) || alpha_scale <= 0.0) {
+    return util::Status::OutOfRange("alpha_scale must be finite and > 0");
+  }
+  if (!std::isfinite(bucket_length)) {
+    return util::Status::OutOfRange("bucket_length must be finite");
   }
   if (!adaptive && bucket_length <= 0.0) {
     return util::Status::OutOfRange(
         "bucket_length must be > 0 with adaptive parameterization off");
+  }
+  const double fraction = datatype_options.sample_fraction;
+  if (!(fraction >= 0.0 && fraction <= 1.0)) {
+    return util::Status::OutOfRange("sample_fraction must be in [0, 1]");
   }
   return util::Status::Ok();
 }
@@ -75,19 +80,6 @@ util::Status ApplyOptionFlags(const std::map<std::string, std::string>& flags,
       auto parsed = ParseKnob(value, key);
       if (!parsed.ok()) return parsed.status();
       options->pipeline_depth = *parsed;
-    } else if (key == "shards") {
-      auto parsed = ParseKnob(value, key);
-      if (!parsed.ok()) return parsed.status();
-      options->num_shards = *parsed;
-    } else if (key == "data-plane") {
-      if (value == "row") {
-        options->columnar = false;
-      } else if (value == "columnar") {
-        options->columnar = true;
-      } else {
-        return util::Status::InvalidArgument(
-            "data-plane must be 'columnar' or 'row', got '" + value + "'");
-      }
     } else if (key == "sample-datatypes") {
       if (value != "true" && value != "false") {
         return util::Status::InvalidArgument(

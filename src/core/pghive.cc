@@ -6,7 +6,6 @@
 
 #include "core/cardinality.h"
 #include "core/constraints.h"
-#include "core/shard_merge.h"
 #include "embed/corpus.h"
 #include "embed/hash_embedder.h"
 #include "lsh/euclidean_lsh.h"
@@ -25,25 +24,6 @@ PgHive::PgHive(pg::PropertyGraph* graph, PgHiveOptions options,
              util::ThreadPool::ResolveThreads(options_.num_threads) > 1) {
     owned_pool_ = std::make_unique<util::ThreadPool>(options_.num_threads);
     pool_ = owned_pool_.get();
-  }
-  if (options_.num_shards > 1) {
-    shard_plan_ =
-        std::make_unique<pg::ShardPlan>(options_.num_shards, options_.seed);
-    // Split the worker budget across shards: each shard's data plane fans
-    // out on its own pool. With fewer than 2 workers per shard the pools
-    // would be pure overhead — shards then run inline on whichever main-pool
-    // worker picked them up (still shard-parallel, just not nested).
-    const size_t resolved =
-        pool_ != nullptr ? pool_->num_threads()
-                         : util::ThreadPool::ResolveThreads(options_.num_threads);
-    const size_t per_shard =
-        resolved > 1 ? std::max<size_t>(1, resolved / options_.num_shards) : 1;
-    if (per_shard > 1) {
-      shard_pools_.resize(options_.num_shards);
-      for (auto& shard_pool : shard_pools_) {
-        shard_pool = std::make_unique<util::ThreadPool>(per_shard);
-      }
-    }
   }
   if (options_.embedder == EmbedderKind::kWord2Vec) {
     embed::Word2VecOptions w2v;
@@ -80,123 +60,63 @@ util::Status PhaseError(PgHive::Phase phase, const char* call) {
       " PgHive; construct a new hive to discover again");
 }
 
+// Per-track seed salts. They pick the discovered bytes, so they never
+// change: the adaptive choice and the hasher of each (track, method) pair
+// draw from their own stream.
+struct TrackSeeds {
+  uint64_t elsh_adaptive;
+  uint64_t minhash_adaptive;
+  uint64_t elsh;
+  uint64_t minhash;
+};
+constexpr TrackSeeds kNodeSeeds{0x11, 0x12, 0xE15, 0x517};
+constexpr TrackSeeds kEdgeSeeds{0x21, 0x22, 0xE25, 0x527};
+
 }  // namespace
 
-lsh::EuclideanLshParams PgHive::NodeElshParams(const FeatureMatrix& features) {
+lsh::ClusterSet PgHive::ClusterTrack(Track track, const pg::GraphBatch& batch,
+                                     const FeatureMatrix& features,
+                                     Vectorizer* vectorizer) {
+  const bool nodes = track == Track::kNodes;
+  const bool elsh = options_.method == ClusterMethod::kElsh;
+  const TrackSeeds& seeds = nodes ? kNodeSeeds : kEdgeSeeds;
   AdaptiveChoice choice;
   if (options_.adaptive) {
     AdaptiveOptions aopts;
-    aopts.seed = options_.seed ^ 0x11;
-    choice = ChooseNodeParams(features, graph_->vocab().num_labels(), aopts);
-    choice.bucket_length *= options_.alpha_scale;
+    aopts.seed =
+        options_.seed ^ (elsh ? seeds.elsh_adaptive : seeds.minhash_adaptive);
+    const size_t num_labels = graph_->vocab().num_labels();
+    choice = nodes ? ChooseNodeParams(features, num_labels, aopts)
+                   : ChooseEdgeParams(features, num_labels, aopts);
+    if (elsh) choice.bucket_length *= options_.alpha_scale;
   } else {
-    choice.bucket_length = options_.bucket_length;
+    if (elsh) choice.bucket_length = options_.bucket_length;
     choice.num_tables = options_.num_tables;
   }
-  last_stats_.node_params = choice;
-  lsh::EuclideanLshParams params;
-  params.bucket_length = std::max(1e-6, choice.bucket_length);
-  params.num_tables = std::max<size_t>(1, choice.num_tables);
-  params.seed = options_.seed ^ 0xE15;
-  params.amplification = options_.amplification;
-  return params;
-}
+  (nodes ? last_stats_.node_params : last_stats_.edge_params) = choice;
 
-lsh::EuclideanLshParams PgHive::EdgeElshParams(const FeatureMatrix& features) {
-  AdaptiveChoice choice;
-  if (options_.adaptive) {
-    AdaptiveOptions aopts;
-    aopts.seed = options_.seed ^ 0x21;
-    choice = ChooseEdgeParams(features, graph_->vocab().num_labels(), aopts);
-    choice.bucket_length *= options_.alpha_scale;
-  } else {
-    choice.bucket_length = options_.bucket_length;
-    choice.num_tables = options_.num_tables;
+  if (elsh) {
+    lsh::EuclideanLshParams params;
+    params.bucket_length = std::max(1e-6, choice.bucket_length);
+    params.num_tables = std::max<size_t>(1, choice.num_tables);
+    params.seed = options_.seed ^ seeds.elsh;
+    params.amplification = options_.amplification;
+    lsh::EuclideanLsh hasher(features.dim, params);
+    return hasher.Cluster(features.data, features.num, pool_);
   }
-  last_stats_.edge_params = choice;
-  lsh::EuclideanLshParams params;
-  params.bucket_length = std::max(1e-6, choice.bucket_length);
-  params.num_tables = std::max<size_t>(1, choice.num_tables);
-  params.seed = options_.seed ^ 0xE25;
-  params.amplification = options_.amplification;
-  return params;
-}
-
-lsh::MinHashParams PgHive::NodeMinHashParams(const FeatureMatrix& features) {
-  AdaptiveChoice choice;
-  if (options_.adaptive) {
-    AdaptiveOptions aopts;
-    aopts.seed = options_.seed ^ 0x12;
-    choice = ChooseNodeParams(features, graph_->vocab().num_labels(), aopts);
-  } else {
-    choice.num_tables = options_.num_tables;
-  }
-  last_stats_.node_params = choice;
+  // MinHash clusters the element sets, not the feature rows.
   lsh::MinHashParams params;
   params.num_hashes = std::max<size_t>(4, choice.num_tables);
   params.rows_per_band =
       std::min(options_.minhash_rows_per_band, params.num_hashes);
-  params.seed = options_.seed ^ 0x517;
+  params.seed = options_.seed ^ seeds.minhash;
   params.amplification = options_.amplification;
-  return params;
-}
-
-lsh::MinHashParams PgHive::EdgeMinHashParams(const FeatureMatrix& features) {
-  AdaptiveChoice choice;
-  if (options_.adaptive) {
-    AdaptiveOptions aopts;
-    aopts.seed = options_.seed ^ 0x22;
-    choice = ChooseEdgeParams(features, graph_->vocab().num_labels(), aopts);
-  } else {
-    choice.num_tables = options_.num_tables;
-  }
-  last_stats_.edge_params = choice;
-  lsh::MinHashParams params;
-  params.num_hashes = std::max<size_t>(4, choice.num_tables);
-  params.rows_per_band =
-      std::min(options_.minhash_rows_per_band, params.num_hashes);
-  params.seed = options_.seed ^ 0x527;
-  params.amplification = options_.amplification;
-  return params;
-}
-
-lsh::ClusterSet PgHive::ClusterNodes(const pg::GraphBatch& batch,
-                                     const FeatureMatrix& features,
-                                     Vectorizer* vectorizer) {
-  if (options_.method == ClusterMethod::kElsh) {
-    lsh::EuclideanLshParams params = NodeElshParams(features);
-    lsh::EuclideanLsh hasher(features.dim, params);
-    return hasher.Cluster(features.data, features.num, pool_);
-  }
-  // MinHash path clusters the element sets.
-  lsh::MinHashParams params = NodeMinHashParams(features);
   lsh::MinHashLsh hasher(params);
-  if (options_.columnar) {
-    ElementSetCsr csr = vectorizer->NodeSetSpans(batch);
-    return hasher.Cluster(
-        lsh::SetSpans{csr.elements.data(), csr.offsets.data(), csr.num()},
-        pool_);
-  }
-  return hasher.Cluster(vectorizer->NodeSets(batch), pool_);
-}
-
-lsh::ClusterSet PgHive::ClusterEdges(const pg::GraphBatch& batch,
-                                     const FeatureMatrix& features,
-                                     Vectorizer* vectorizer) {
-  if (options_.method == ClusterMethod::kElsh) {
-    lsh::EuclideanLshParams params = EdgeElshParams(features);
-    lsh::EuclideanLsh hasher(features.dim, params);
-    return hasher.Cluster(features.data, features.num, pool_);
-  }
-  lsh::MinHashParams params = EdgeMinHashParams(features);
-  lsh::MinHashLsh hasher(params);
-  if (options_.columnar) {
-    ElementSetCsr csr = vectorizer->EdgeSetSpans(batch);
-    return hasher.Cluster(
-        lsh::SetSpans{csr.elements.data(), csr.offsets.data(), csr.num()},
-        pool_);
-  }
-  return hasher.Cluster(vectorizer->EdgeSets(batch), pool_);
+  ElementSetCsr csr =
+      nodes ? vectorizer->NodeSetSpans(batch) : vectorizer->EdgeSetSpans(batch);
+  return hasher.Cluster(
+      lsh::SetSpans{csr.elements.data(), csr.offsets.data(), csr.num()},
+      pool_);
 }
 
 util::Status PgHive::ProcessBatch(pg::GraphBatch batch) {
@@ -205,7 +125,6 @@ util::Status PgHive::ProcessBatch(pg::GraphBatch batch) {
 }
 
 PgHive::PreparedBatch PgHive::PreprocessBatch(pg::GraphBatch batch) {
-  if (shard_plan_ != nullptr) return PreprocessSharded(std::move(batch));
   util::Timer timer;
   PreparedBatch prepared;
   prepared.batch = std::move(batch);
@@ -213,27 +132,21 @@ PgHive::PreparedBatch PgHive::PreprocessBatch(pg::GraphBatch batch) {
 
   // (b) Preprocess: train/refresh the label embedding on this batch, then
   // build representation vectors. Everything that advances cross-batch state
-  // happens here, in a fixed order: the corpus build and the vectorizer's
-  // intern pre-passes (column builds, in columnar mode) assign label-set
-  // token ids, and Train continues the incremental Word2Vec model — so as
+  // happens here, in a fixed order: the vectorizer's column builds and its
+  // intern pre-passes assign label-set token ids, and Train continues the incremental Word2Vec model — so as
   // long as batches preprocess in order, ids and weights are identical
   // whether or not later stages overlap.
-  prepared.vectorizer = std::make_unique<Vectorizer>(
-      graph_, embedder_.get(), pool_, options_.columnar);
+  prepared.vectorizer =
+      std::make_unique<Vectorizer>(graph_, embedder_.get(), pool_);
   if (word2vec_ != nullptr) {
-    embed::LabelCorpus corpus;
-    if (options_.columnar) {
-      // Edge columns before node columns: the edge build interns per edge in
-      // the corpus sentence order (src, edge, dst), then the node build
-      // interns the remaining (isolated-node) tokens in row order — the same
-      // first-seen token-id sequence the row-path corpus walk produces.
-      const pg::ColumnStore& edge_cols = prepared.vectorizer->EdgeColumns(b);
-      const pg::ColumnStore& node_cols = prepared.vectorizer->NodeColumns(b);
-      corpus = embed::BuildLabelCorpus(*graph_, edge_cols, node_cols);
-    } else {
-      corpus = embed::BuildLabelCorpus(*graph_, b);
-    }
-    word2vec_->Train(corpus, pool_);
+    // Edge columns before node columns: the edge build interns per edge in
+    // the corpus sentence order (src, edge, dst), then the node build
+    // interns the remaining (isolated-node) tokens in row order — the same
+    // first-seen token-id sequence the row-loop corpus walk produces.
+    const pg::ColumnStore& edge_cols = prepared.vectorizer->EdgeColumns(b);
+    const pg::ColumnStore& node_cols = prepared.vectorizer->NodeColumns(b);
+    word2vec_->Train(embed::BuildLabelCorpus(*graph_, edge_cols, node_cols),
+                     pool_);
   }
   prepared.node_features = prepared.vectorizer->NodeFeatures(b);
   prepared.edge_features = prepared.vectorizer->EdgeFeatures(b);
@@ -245,238 +158,6 @@ PgHive::PreparedBatch PgHive::PreprocessBatch(pg::GraphBatch batch) {
   return prepared;
 }
 
-namespace {
-
-// Scatters per-shard feature rows back into a matrix in parent-batch order.
-// Rows are position-pure (embedding lookup + vocab-wide binary key block),
-// so the gathered matrix is bit-identical to the one the unsharded
-// vectorizer builds over the whole batch — which is what lets the adaptive
-// parameter choice run on it unchanged.
-FeatureMatrix GatherShardFeatures(
-    const std::vector<PgHive::PreparedBatch::ShardPrepared>& shards,
-    size_t num, bool nodes) {
-  FeatureMatrix out;
-  out.num = num;
-  for (const auto& sp : shards) {
-    const FeatureMatrix& f = nodes ? sp.node_features : sp.edge_features;
-    out.dim = std::max(out.dim, f.dim);
-  }
-  out.data.assign(num * out.dim, 0.0f);
-  for (const auto& sp : shards) {
-    const FeatureMatrix& f = nodes ? sp.node_features : sp.edge_features;
-    const std::vector<uint32_t>& positions =
-        nodes ? sp.shard.node_positions : sp.shard.edge_positions;
-    for (size_t i = 0; i < f.num; ++i) {
-      std::copy_n(&f.data[i * out.dim], out.dim,
-                  &out.data[size_t{positions[i]} * out.dim]);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-PgHive::PreparedBatch PgHive::PreprocessSharded(pg::GraphBatch batch) {
-  util::Timer timer;
-  PreparedBatch prepared;
-  prepared.batch = std::move(batch);
-  const pg::GraphBatch& b = prepared.batch;
-
-  // The cross-batch state advance stays global and serial — exactly the
-  // unsharded sequence, so label-set token ids and Word2Vec weights are
-  // byte-identical to num_shards == 1 and every later vocabulary access in
-  // this function is a read-only cache hit (safe to race across shards).
-  if (word2vec_ != nullptr) {
-    // The row-path corpus walk interns per edge in sentence order
-    // (src, edge, dst), then the remaining isolated-node tokens in row
-    // order — the canonical first-seen sequence of both data planes.
-    embed::LabelCorpus corpus = embed::BuildLabelCorpus(*graph_, b);
-    word2vec_->Train(corpus, pool_);
-  } else {
-    // Hash embedder: no corpus build interns for us, so warm the label-set
-    // token cache in the order the unsharded vectorizer would — all batch
-    // nodes in row order (NodeFeatures runs first), then (src, edge, dst)
-    // per edge.
-    pg::Vocabulary& vocab = graph_->vocab();
-    for (pg::NodeId id : b.node_ids) {
-      vocab.TokenForLabelSet(graph_->node(id).labels);
-    }
-    for (pg::EdgeId id : b.edge_ids) {
-      const pg::Edge& e = graph_->edge(id);
-      vocab.TokenForLabelSet(graph_->node(e.src).labels);
-      vocab.TokenForLabelSet(e.labels);
-      vocab.TokenForLabelSet(graph_->node(e.dst).labels);
-    }
-  }
-
-  // Partition, then build each shard's data plane — its own vectorizer over
-  // per-shard column stores and feature matrices — shards in parallel on
-  // the main pool, each shard's inner loops on its own pool.
-  std::vector<pg::ShardBatch> shard_batches = shard_plan_->Partition(*graph_, b);
-  prepared.shards.resize(shard_batches.size());
-  for (size_t s = 0; s < shard_batches.size(); ++s) {
-    prepared.shards[s].shard = std::move(shard_batches[s]);
-  }
-  util::ParallelFor(
-      pool_, 0, prepared.shards.size(), 1, [&](size_t lo, size_t hi) {
-        for (size_t s = lo; s < hi; ++s) {
-          PreparedBatch::ShardPrepared& sp = prepared.shards[s];
-          sp.vectorizer = std::make_unique<Vectorizer>(
-              graph_, embedder_.get(), ShardPool(s), options_.columnar);
-          sp.node_features = sp.vectorizer->NodeFeatures(sp.shard.batch);
-          sp.edge_features = sp.vectorizer->EdgeFeatures(sp.shard.batch);
-        }
-      });
-
-  // Gather the global matrices the adaptive parameter choice reads; the
-  // per-shard matrices stay alive for the per-shard hashing passes.
-  prepared.node_features =
-      GatherShardFeatures(prepared.shards, b.node_ids.size(), /*nodes=*/true);
-  prepared.edge_features =
-      GatherShardFeatures(prepared.shards, b.edge_ids.size(), /*nodes=*/false);
-  prepared.preprocess_ms = timer.ElapsedMillis();
-  return prepared;
-}
-
-lsh::ClusterSet PgHive::ClusterNodesSharded(PreparedBatch& prepared) {
-  const FeatureMatrix& features = prepared.node_features;
-  const size_t num = features.num;
-  const size_t num_shards = prepared.shards.size();
-  if (options_.method == ClusterMethod::kElsh) {
-    lsh::EuclideanLshParams params = NodeElshParams(features);
-    lsh::EuclideanLsh hasher(features.dim, params);
-    const size_t t = params.num_tables;
-    std::vector<uint64_t> sigs(num * t);
-    // Per-row hashing is position-pure: hash each shard's rows on its own
-    // pool, scatter the T-slot stripes by parent-batch position, and the
-    // signature matrix matches the unsharded HashAll bit for bit.
-    util::ParallelFor(
-        pool_, 0, num_shards, 1, [&](size_t lo, size_t hi) {
-          for (size_t s = lo; s < hi; ++s) {
-            const PreparedBatch::ShardPrepared& sp = prepared.shards[s];
-            if (sp.shard.batch.node_ids.empty()) continue;
-            std::vector<uint64_t> local = hasher.HashAll(
-                sp.node_features.data, sp.node_features.num, ShardPool(s));
-            for (size_t i = 0; i < sp.node_features.num; ++i) {
-              std::copy_n(&local[i * t], t,
-                          &sigs[size_t{sp.shard.node_positions[i]} * t]);
-            }
-          }
-        });
-    return params.amplification == lsh::Amplification::kAnd
-               ? lsh::ClusterBySignature(sigs, num, t, pool_)
-               : lsh::ClusterByAnyCollision(sigs, num, t, pool_);
-  }
-  lsh::MinHashParams params = NodeMinHashParams(features);
-  lsh::MinHashLsh hasher(params);
-  const size_t t = hasher.params().num_hashes;
-  std::vector<uint64_t> sigs(num * t);
-  util::ParallelFor(pool_, 0, num_shards, 1, [&](size_t lo, size_t hi) {
-    for (size_t s = lo; s < hi; ++s) {
-      const PreparedBatch::ShardPrepared& sp = prepared.shards[s];
-      if (sp.shard.batch.node_ids.empty()) continue;
-      std::vector<uint64_t> local;
-      if (options_.columnar) {
-        ElementSetCsr csr = sp.vectorizer->NodeSetSpans(sp.shard.batch);
-        local = hasher.SignatureAll(
-            lsh::SetSpans{csr.elements.data(), csr.offsets.data(), csr.num()},
-            ShardPool(s));
-      } else {
-        local = hasher.SignatureAll(sp.vectorizer->NodeSets(sp.shard.batch),
-                                    ShardPool(s));
-      }
-      for (size_t i = 0; i < sp.shard.batch.node_ids.size(); ++i) {
-        std::copy_n(&local[i * t], t,
-                    &sigs[size_t{sp.shard.node_positions[i]} * t]);
-      }
-    }
-  });
-  return hasher.ClusterFromSignatures(sigs, num, pool_);
-}
-
-lsh::ClusterSet PgHive::ClusterEdgesSharded(PreparedBatch& prepared) {
-  const FeatureMatrix& features = prepared.edge_features;
-  const size_t num = features.num;
-  const size_t num_shards = prepared.shards.size();
-  if (options_.method == ClusterMethod::kElsh) {
-    lsh::EuclideanLshParams params = EdgeElshParams(features);
-    lsh::EuclideanLsh hasher(features.dim, params);
-    const size_t t = params.num_tables;
-    std::vector<uint64_t> sigs(num * t);
-    util::ParallelFor(
-        pool_, 0, num_shards, 1, [&](size_t lo, size_t hi) {
-          for (size_t s = lo; s < hi; ++s) {
-            const PreparedBatch::ShardPrepared& sp = prepared.shards[s];
-            if (sp.shard.batch.edge_ids.empty()) continue;
-            std::vector<uint64_t> local = hasher.HashAll(
-                sp.edge_features.data, sp.edge_features.num, ShardPool(s));
-            for (size_t i = 0; i < sp.edge_features.num; ++i) {
-              std::copy_n(&local[i * t], t,
-                          &sigs[size_t{sp.shard.edge_positions[i]} * t]);
-            }
-          }
-        });
-    return params.amplification == lsh::Amplification::kAnd
-               ? lsh::ClusterBySignature(sigs, num, t, pool_)
-               : lsh::ClusterByAnyCollision(sigs, num, t, pool_);
-  }
-  lsh::MinHashParams params = EdgeMinHashParams(features);
-  lsh::MinHashLsh hasher(params);
-  const size_t t = hasher.params().num_hashes;
-  std::vector<uint64_t> sigs(num * t);
-  util::ParallelFor(pool_, 0, num_shards, 1, [&](size_t lo, size_t hi) {
-    for (size_t s = lo; s < hi; ++s) {
-      const PreparedBatch::ShardPrepared& sp = prepared.shards[s];
-      if (sp.shard.batch.edge_ids.empty()) continue;
-      std::vector<uint64_t> local;
-      if (options_.columnar) {
-        ElementSetCsr csr = sp.vectorizer->EdgeSetSpans(sp.shard.batch);
-        local = hasher.SignatureAll(
-            lsh::SetSpans{csr.elements.data(), csr.offsets.data(), csr.num()},
-            ShardPool(s));
-      } else {
-        local = hasher.SignatureAll(sp.vectorizer->EdgeSets(sp.shard.batch),
-                                    ShardPool(s));
-      }
-      for (size_t i = 0; i < sp.shard.batch.edge_ids.size(); ++i) {
-        std::copy_n(&local[i * t], t,
-                    &sigs[size_t{sp.shard.edge_positions[i]} * t]);
-      }
-    }
-  });
-  return hasher.ClusterFromSignatures(sigs, num, pool_);
-}
-
-std::vector<CandidateType> PgHive::ShardedNodeCandidates(
-    const PreparedBatch& prepared, const lsh::ClusterSet& clusters) {
-  const size_t num_shards = prepared.shards.size();
-  std::vector<ShardCandidates> parts(num_shards);
-  util::ParallelFor(pool_, 0, num_shards, 1, [&](size_t lo, size_t hi) {
-    for (size_t s = lo; s < hi; ++s) {
-      parts[s] =
-          BuildNodeShardCandidates(*graph_, prepared.shards[s].shard, clusters);
-    }
-  });
-  return MergeShardCandidates(std::move(parts), clusters.num_clusters());
-}
-
-std::vector<CandidateType> PgHive::ShardedEdgeCandidates(
-    const PreparedBatch& prepared, const lsh::ClusterSet& clusters) {
-  const size_t num_shards = prepared.shards.size();
-  std::vector<ShardCandidates> parts(num_shards);
-  util::ParallelFor(pool_, 0, num_shards, 1, [&](size_t lo, size_t hi) {
-    for (size_t s = lo; s < hi; ++s) {
-      const PreparedBatch::ShardPrepared& sp = prepared.shards[s];
-      // EdgeEndpointTokens is a pure read of the cache EdgeFeatures warmed
-      // in PreprocessSharded.
-      parts[s] = BuildEdgeShardCandidates(
-          *graph_, sp.shard, clusters,
-          sp.vectorizer->EdgeEndpointTokens(sp.shard.batch));
-    }
-  });
-  return MergeShardCandidates(std::move(parts), clusters.num_clusters());
-}
-
 util::Status PgHive::ProcessPrepared(PreparedBatch prepared) {
   if (phase_ != Phase::kIngesting) {
     return PhaseError(phase_, "ProcessPrepared()");
@@ -484,7 +165,6 @@ util::Status PgHive::ProcessPrepared(PreparedBatch prepared) {
   last_stats_ = PipelineStats{};
   last_stats_.preprocess_ms = prepared.preprocess_ms;
   const pg::GraphBatch& batch = prepared.batch;
-  const bool sharded = !prepared.shards.empty();
   util::Timer timer;
 
   // (c) LSH clustering + candidate build. The node and edge tracks are
@@ -493,40 +173,32 @@ util::Status PgHive::ProcessPrepared(PreparedBatch prepared) {
   // every label-set token of the batch (including edge endpoint tokens), so
   // the tracks run concurrently when a pool is available. Each track's inner
   // loops also fan out on the pool (nested sections flatten into its queue).
-  lsh::ClusterSet node_clusters;
-  lsh::ClusterSet edge_clusters;
   std::vector<CandidateType> node_candidates;
   std::vector<CandidateType> edge_candidates;
-  auto node_track = [&] {
-    if (batch.node_ids.empty()) return;
-    node_clusters = sharded ? ClusterNodesSharded(prepared)
-                            : ClusterNodes(batch, prepared.node_features,
-                                           prepared.vectorizer.get());
-    last_stats_.node_clusters = node_clusters.num_clusters();
-    node_candidates =
-        sharded ? ShardedNodeCandidates(prepared, node_clusters)
-                : BuildNodeCandidates(*graph_, batch, node_clusters);
-  };
-  auto edge_track = [&] {
-    if (batch.edge_ids.empty()) return;
-    edge_clusters = sharded ? ClusterEdgesSharded(prepared)
-                            : ClusterEdges(batch, prepared.edge_features,
-                                           prepared.vectorizer.get());
-    last_stats_.edge_clusters = edge_clusters.num_clusters();
+  auto track = [&](Track t, std::vector<CandidateType>* candidates) {
+    const bool nodes = t == Track::kNodes;
+    if ((nodes ? batch.node_ids : batch.edge_ids).empty()) return;
+    lsh::ClusterSet clusters = ClusterTrack(
+        t, batch, nodes ? prepared.node_features : prepared.edge_features,
+        prepared.vectorizer.get());
+    (nodes ? last_stats_.node_clusters : last_stats_.edge_clusters) =
+        clusters.num_clusters();
     // EdgeEndpointTokens is a pure read of the cache EdgeFeatures warmed in
     // PreprocessBatch — no vocabulary access on this side of the overlap.
-    edge_candidates =
-        sharded ? ShardedEdgeCandidates(prepared, edge_clusters)
-                : BuildEdgeCandidates(
-                      *graph_, batch, edge_clusters,
-                      prepared.vectorizer->EdgeEndpointTokens(batch));
+    *candidates =
+        nodes ? BuildNodeCandidates(*graph_, batch, clusters)
+              : BuildEdgeCandidates(
+                    *graph_, batch, clusters,
+                    prepared.vectorizer->EdgeEndpointTokens(batch));
   };
   if (pool_ != nullptr) {
-    std::future<void> edges_done = pool_->Submit(edge_track);
+    std::future<void> edges_done =
+        pool_->Submit([&] { track(Track::kEdges, &edge_candidates); });
     try {
-      node_track();
+      track(Track::kNodes, &node_candidates);
     } catch (...) {
-      // edge_track references stack locals; it must finish before unwinding.
+      // The edge track references stack locals; it must finish before
+      // unwinding.
       pool_->HelpWhileWaiting(edges_done);
       throw;
     }
@@ -537,8 +209,8 @@ util::Status PgHive::ProcessPrepared(PreparedBatch prepared) {
     pool_->HelpWhileWaiting(edges_done);
     edges_done.get();
   } else {
-    node_track();
-    edge_track();
+    track(Track::kNodes, &node_candidates);
+    track(Track::kEdges, &edge_candidates);
   }
   last_stats_.cluster_ms = timer.ElapsedMillis();
 

@@ -51,11 +51,13 @@ std::string SerializeOptionsPayload(const PgHiveOptions& o) {
   util::PutF64(&out, o.datatype_options.sample_fraction);
   util::PutU64(&out, o.datatype_options.min_sample);
   util::PutU64(&out, o.datatype_options.seed);
-  util::PutU8(&out, o.columnar ? 1 : 0);
+  // Retired plan fields keep their slots so the format version holds: the
+  // data plane (1 = columnar) here and the shard count below.
+  util::PutU8(&out, 1);
   util::PutF64(&out, o.alpha_scale);
   util::PutU64(&out, o.num_threads);
   util::PutU64(&out, o.pipeline_depth);
-  util::PutU64(&out, o.num_shards);
+  util::PutU64(&out, 1);
   util::PutU64(&out, o.seed);
   return out;
 }
@@ -77,11 +79,11 @@ util::StatusOr<PgHiveOptions> ParseOptionsPayload(std::string_view payload) {
   o.datatype_options.sample_fraction = in.ReadF64();
   o.datatype_options.min_sample = in.ReadU64();
   o.datatype_options.seed = in.ReadU64();
-  o.columnar = in.ReadU8() != 0;
+  in.ReadU8();  // Retired data-plane field; every plane wrote equal bytes.
   o.alpha_scale = in.ReadF64();
   o.num_threads = in.ReadU64();
   o.pipeline_depth = in.ReadU64();
-  o.num_shards = in.ReadU64();
+  in.ReadU64();  // Retired shard-count field, likewise.
   o.seed = in.ReadU64();
   if (!in.ok() || !in.AtEnd()) {
     return util::Status::ParseError("state snapshot: corrupt options section");
@@ -140,8 +142,7 @@ void ReadStats(util::ByteReader* in, PipelineStats* s) {
 
 /// Knobs that change what schema discovery computes — a resume with any of
 /// these differing would not reproduce the uninterrupted run. Execution-plan
-/// knobs (threads, pipeline depth, shards, data plane) are deliberately
-/// excluded: their byte-identity contracts are pinned by the determinism
+/// knobs (threads, pipeline depth) are deliberately excluded: their byte-identity contracts are pinned by the determinism
 /// suites, so a snapshot taken at --threads 8 restores fine at --threads 1.
 util::Status CheckDiscoveryOptionsMatch(const PgHiveOptions& have,
                                         const PgHiveOptions& snap) {

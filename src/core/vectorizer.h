@@ -51,13 +51,16 @@ struct ElementSetCsr {
 /// EdgeFeatures have run, which is what lets the later node/edge tracks share
 /// the vocabulary read-only.
 ///
-/// In columnar mode (the default) the sweep runs over a per-batch
-/// pg::ColumnStore instead of the rows: the embed block reads the contiguous
-/// token array and the binary block is a per-column presence-bitmap sweep,
-/// with no per-row PropertyMap access in the hot loop. The column build is
-/// the sequential intern pre-pass, in the same canonical order as the row
-/// path, so features, sets and every downstream schema are byte-identical
-/// between the two modes (pinned by tests).
+/// In columnar mode (the default, and the only mode PgHive runs) the sweep
+/// runs over a per-batch pg::ColumnStore instead of the rows: the embed
+/// block reads the contiguous token array and the binary block is a
+/// per-column presence-bitmap sweep, with no per-row PropertyMap access in
+/// the hot loop. The column build is the sequential intern pre-pass, in the
+/// same canonical order as the row path, so features, sets and every
+/// downstream schema are byte-identical between the two modes. columnar =
+/// false keeps the row loops (NodeSets/EdgeSets included) as the reference
+/// implementation the equivalence tests and the row-vs-columnar bench
+/// compare against.
 class Vectorizer {
  public:
   Vectorizer(pg::PropertyGraph* graph, const embed::LabelEmbedder* embedder,

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -262,6 +263,75 @@ TEST(StateSnapshotTest, HostileSectionLengthIsClampedNotAllocated) {
   PgHive hive(&dataset.graph, BaseOptions());
   std::istringstream source(corrupt);
   EXPECT_FALSE(hive.RestoreState(source).ok());
+}
+
+// Rewrites the f64 at `offset` of the options section (the first section,
+// right after the 8-byte header) and re-frames it with a fresh CRC, so only
+// the option value checks stand between the bytes and a restore.
+std::string WithOptionsF64(const std::string& snapshot, size_t offset,
+                           double value) {
+  constexpr size_t kHeaderBytes = 8;
+  util::ByteReader in(std::string_view(snapshot).substr(kHeaderBytes));
+  uint32_t id = 0;
+  std::string_view payload;
+  EXPECT_TRUE(util::ReadSection(&in, &id, &payload));
+  EXPECT_EQ(id, 1u);
+  std::string patched(payload);
+  std::string encoded;
+  util::PutF64(&encoded, value);
+  patched.replace(offset, encoded.size(), encoded);
+  std::string out = snapshot.substr(0, kHeaderBytes);
+  util::AppendSection(&out, id, patched);
+  out += snapshot.substr(kHeaderBytes + in.pos());
+  return out;
+}
+
+TEST(StateSnapshotTest, NonFiniteOrOutOfRangeOptionFloatsAreRefusedByName) {
+  CheckpointedRun run = RunWithCheckpoint(BaseOptions(), 3, 2);
+  // Payload offsets of the f64 option fields (see SerializeOptionsPayload).
+  constexpr size_t kBucketLength = 11;
+  constexpr size_t kJaccardThreshold = 36;
+  constexpr size_t kSampleFraction = 46;
+  constexpr size_t kAlphaScale = 71;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    size_t offset;
+    double value;
+  };
+  const Case cases[] = {
+      {"jaccard_threshold", kJaccardThreshold, nan},
+      {"jaccard_threshold", kJaccardThreshold, inf},
+      {"alpha_scale", kAlphaScale, nan},
+      {"alpha_scale", kAlphaScale, inf},
+      {"bucket_length", kBucketLength, nan},
+      {"bucket_length", kBucketLength, -inf},
+      {"sample_fraction", kSampleFraction, nan},
+      {"sample_fraction", kSampleFraction, -0.5},
+      {"sample_fraction", kSampleFraction, 1.5},
+      {"sample_fraction", kSampleFraction, inf},
+  };
+  // The patch helper itself must leave a restorable snapshot when it writes
+  // the value already stored.
+  ASSERT_TRUE(ReadSnapshotOptions(
+                  WithOptionsF64(run.snapshot, kSampleFraction, 0.1))
+                  .ok());
+  for (const Case& c : cases) {
+    const std::string corrupt = WithOptionsF64(run.snapshot, c.offset, c.value);
+    auto options = ReadSnapshotOptions(corrupt);
+    ASSERT_FALSE(options.ok()) << c.field << "=" << c.value;
+    EXPECT_NE(options.status().message().find(c.field), std::string::npos)
+        << options.status().ToString();
+
+    datasets::Dataset dataset = MakeDataset();
+    PgHive hive(&dataset.graph, BaseOptions());
+    std::istringstream source(corrupt);
+    auto restored = hive.RestoreState(source);
+    ASSERT_FALSE(restored.ok()) << c.field << "=" << c.value;
+    EXPECT_NE(restored.status().message().find(c.field), std::string::npos)
+        << restored.status().ToString();
+  }
 }
 
 TEST(StateSnapshotTest, ReadSnapshotOptionsRecoversOptionsSection) {

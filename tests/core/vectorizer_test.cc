@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "datasets/generator.h"
 #include "datasets/zoo.h"
+#include "embed/corpus.h"
 #include "embed/hash_embedder.h"
+#include "pg/batch.h"
 
 namespace pghive::core {
 namespace {
@@ -129,12 +134,15 @@ TEST(VectorizerTest, EdgeSetsDistinguishEndpointRoles) {
 //
 // The columnar sweep is an optimization of the row loops, never a semantic
 // change: identical feature bytes, identical MinHash element multisets,
-// identical endpoint tokens. Pinned on generated zoo graphs so label
-// overlap, unlabeled elements and property holes all occur.
+// identical endpoint tokens, identical Word2Vec corpora and token ids.
+// Those are every input of the pipeline that the data layout could touch,
+// so PgHive runs columnar only and the row loops stay here as the
+// reference. Pinned on every generated zoo graph so label overlap,
+// unlabeled elements and property holes all occur.
 
 TEST(VectorizerEquivalenceTest, ColumnarFeaturesMatchRowFeaturesExactly) {
-  for (const datasets::DatasetSpec& spec :
-       {datasets::PoleSpec(), datasets::IcijSpec()}) {
+  for (const datasets::DatasetSpec& spec : datasets::Zoo()) {
+    SCOPED_TRACE(spec.name);
     datasets::Dataset dataset = datasets::Generate(spec, 0.05, 23);
     embed::HashEmbedder embedder(&dataset.graph.vocab(), 8, 5);
     pg::GraphBatch batch = pg::FullBatch(dataset.graph);
@@ -156,12 +164,6 @@ TEST(VectorizerEquivalenceTest, ColumnarFeaturesMatchRowFeaturesExactly) {
 }
 
 TEST(VectorizerEquivalenceTest, SetSpansMatchNestedSetsRowForRow) {
-  datasets::Dataset dataset = datasets::Generate(datasets::LdbcSpec(), 0.05, 29);
-  embed::HashEmbedder embedder(&dataset.graph.vocab(), 8, 5);
-  pg::GraphBatch batch = pg::FullBatch(dataset.graph);
-  Vectorizer row(&dataset.graph, &embedder, nullptr, /*columnar=*/false);
-  Vectorizer col(&dataset.graph, &embedder, nullptr, /*columnar=*/true);
-
   auto check = [](const std::vector<std::vector<uint64_t>>& sets,
                   const ElementSetCsr& csr) {
     ASSERT_EQ(csr.num(), sets.size());
@@ -173,8 +175,52 @@ TEST(VectorizerEquivalenceTest, SetSpansMatchNestedSetsRowForRow) {
       ASSERT_EQ(span, sets[i]) << "row " << i;
     }
   };
-  check(row.NodeSets(batch), col.NodeSetSpans(batch));
-  check(row.EdgeSets(batch), col.EdgeSetSpans(batch));
+  for (const datasets::DatasetSpec& spec : datasets::Zoo()) {
+    SCOPED_TRACE(spec.name);
+    datasets::Dataset dataset = datasets::Generate(spec, 0.05, 29);
+    embed::HashEmbedder embedder(&dataset.graph.vocab(), 8, 5);
+    pg::GraphBatch batch = pg::FullBatch(dataset.graph);
+    Vectorizer row(&dataset.graph, &embedder, nullptr, /*columnar=*/false);
+    Vectorizer col(&dataset.graph, &embedder, nullptr, /*columnar=*/true);
+    check(row.NodeSets(batch), col.NodeSetSpans(batch));
+    check(row.EdgeSets(batch), col.EdgeSetSpans(batch));
+  }
+}
+
+// PgHive trains Word2Vec on the corpus read from the batch's columns, built
+// edge columns first. Batch by batch, on two copies of one graph, that must
+// give the row walk's sentences and intern the same token ids in the same
+// order, or the embeddings of later batches would drift.
+TEST(VectorizerEquivalenceTest, ColumnCorpusMatchesRowCorpusAndTokenIds) {
+  auto token_names = [](const pg::Vocabulary& vocab) {
+    std::vector<std::string> names;
+    for (size_t t = 0; t < vocab.num_tokens(); ++t) {
+      names.push_back(vocab.TokenName(static_cast<pg::LabelSetToken>(t)));
+    }
+    return names;
+  };
+  for (const datasets::DatasetSpec& spec : datasets::Zoo()) {
+    SCOPED_TRACE(spec.name);
+    datasets::Dataset row_data = datasets::Generate(spec, 0.05, 31);
+    datasets::Dataset col_data = datasets::Generate(spec, 0.05, 31);
+    embed::HashEmbedder embedder(&col_data.graph.vocab(), 8, 5);
+    std::vector<pg::GraphBatch> batches =
+        pg::SplitIntoBatches(row_data.graph, /*num_batches=*/3, /*seed=*/5);
+    for (size_t i = 0; i < batches.size(); ++i) {
+      embed::LabelCorpus row = embed::BuildLabelCorpus(row_data.graph,
+                                                       batches[i]);
+      Vectorizer vectorizer(&col_data.graph, &embedder);
+      const pg::ColumnStore& edge_cols = vectorizer.EdgeColumns(batches[i]);
+      const pg::ColumnStore& node_cols = vectorizer.NodeColumns(batches[i]);
+      embed::LabelCorpus col =
+          embed::BuildLabelCorpus(col_data.graph, edge_cols, node_cols);
+      EXPECT_EQ(col.sentences, row.sentences) << "batch " << i;
+      EXPECT_EQ(col.vocab_size, row.vocab_size) << "batch " << i;
+      EXPECT_EQ(token_names(col_data.graph.vocab()),
+                token_names(row_data.graph.vocab()))
+          << "batch " << i;
+    }
+  }
 }
 
 TEST(VectorizerEquivalenceTest, ColumnCachesRebuildWhenBatchChanges) {

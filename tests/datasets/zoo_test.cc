@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 
 #include "datasets/generator.h"
@@ -31,6 +32,10 @@ struct Shape {
   size_t node_types, edge_types, node_labels;
   bool real;
 };
+
+// Names each case by its dataset; gtest would otherwise print the raw bytes
+// of the struct, pointer included, and the CTest name would change per run.
+void PrintTo(const Shape& shape, std::ostream* os) { *os << shape.name; }
 
 class ZooShapeTest : public ::testing::TestWithParam<Shape> {};
 

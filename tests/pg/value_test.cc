@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace pghive::pg {
 namespace {
 
@@ -43,6 +45,12 @@ struct InferCase {
   const char* literal;
   DataType expected;
 };
+
+// Names each case by its content; gtest would otherwise print the raw bytes
+// of the struct, pointer included, and the CTest name would change per run.
+void PrintTo(const InferCase& c, std::ostream* os) {
+  *os << '"' << c.literal << "\" as " << DataTypeName(c.expected);
+}
 
 class StringInferenceTest : public ::testing::TestWithParam<InferCase> {};
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "core/schema_diff.h"
 #include "pg/graph.h"
@@ -149,8 +150,17 @@ TEST_F(HandlerTest, CreateSessionParsesKnobsAndRejectsBadOnes) {
             "session s1 proto " + std::to_string(kProtocolVersion));
 
   EXPECT_FALSE(Run("create-session threads=banana").status.ok());
-  EXPECT_FALSE(Run("create-session notaknob=1").status.ok());
   EXPECT_FALSE(Run("create-session justatoken").status.ok());
+  // Unknown keys, retired plan knobs among them, are refused by name.
+  const std::pair<std::string, std::string> refused_knobs[] = {
+      {"notaknob", "1"}, {"shards", "4"}, {"data-plane", "row"}};
+  for (const auto& [key, value] : refused_knobs) {
+    Response refused = Run("create-session " + key + "=" + value);
+    ASSERT_FALSE(refused.status.ok()) << key;
+    EXPECT_NE(refused.status.message().find("'" + key + "'"),
+              std::string::npos)
+        << refused.status.ToString();
+  }
 }
 
 TEST_F(HandlerTest, CreateSessionProtocolHandshake) {

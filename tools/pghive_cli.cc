@@ -3,16 +3,11 @@
 // Subcommands:
 //   discover  --graph FILE [--method elsh|minhash] [--batches N]
 //             [--out PREFIX] [--loose] [--sample-datatypes] [--threads N]
-//             [--pipeline-depth D] [--data-plane columnar|row] [--shards N]
+//             [--pipeline-depth D] [--seed N]
 //       --threads 0 (default) uses every hardware thread; --threads 1 runs
 //       serially. --pipeline-depth D (default 1) overlaps batch i+1's
 //       preprocess with batch i's extract during multi-batch ingest; the
 //       discovered schema is identical for every threads/depth combination.
-//       --data-plane row keeps the row-at-a-time inner loops instead of the
-//       columnar ones; the schema is byte-identical either way.
-//       --shards N (default 1) partitions every batch by consistent hashing
-//       over node ids and runs the per-shard data plane in parallel; the
-//       schema is byte-identical to --shards=1 at every shard count.
 //       Discovers the schema of a graph file (pg::SaveGraphFile format) and
 //       prints it; with --out also writes PREFIX.pgs and PREFIX.xsd.
 //       Durability: --checkpoint-to FILE snapshots the full discovery state
@@ -22,6 +17,9 @@
 //       schema is byte-identical to the uninterrupted run. --changefeed FILE
 //       appends one binary SchemaDiff record per merged batch (plus one for
 //       post-processing); `pghive changefeed --feed FILE` prints it.
+//       The closing "discovery took" line reports measured wall time; the
+//       per-batch stage sum it adds for multi-batch runs overlaps under
+//       pipelining, so it can exceed the wall time.
 //   changefeed --feed FILE
 //       Renders a --changefeed file as human-readable schema deltas.
 //   import    --nodes FILE[,FILE...] --edges FILE[,FILE...] --out GRAPH
@@ -58,6 +56,7 @@
 //       flips (non-widening transitions, only reachable via instance
 //       decay/removal). --fail-on-alert exits 1 when anything was flagged.
 //
+// discover and client reject any flag they do not read, naming it.
 // Exit code 0 on success (and, for validate, on conformance), 1 otherwise.
 
 #include <cstdio>
@@ -66,6 +65,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -83,6 +83,7 @@
 #include "pg/graph_io.h"
 #include "service/client.h"
 #include "util/parse.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -138,18 +139,35 @@ int Fail(const std::string& message) {
   return 1;
 }
 
+/// The flags discover and client forward to the shared core option parser.
+const std::set<std::string> kDiscoveryKnobs = {
+    "method", "threads", "pipeline-depth", "seed", "sample-datatypes"};
+
 /// Collects the discovery knobs the shared core parser understands from the
-/// command line. Validation (ranges, enum values) lives in one place —
+/// command line (--sample-datatypes is a bare switch, forwarded as "true").
+/// Validation (ranges, enum values) lives in one place —
 /// core::ApplyOptionFlags + PgHiveOptions::Validate — shared with pghived's
 /// create-session path, so CLI and daemon reject exactly the same inputs.
 std::map<std::string, std::string> DiscoveryKnobs(const Args& args) {
   std::map<std::string, std::string> knobs;
-  for (const char* key : {"method", "threads", "pipeline-depth", "shards",
-                          "data-plane", "seed"}) {
-    if (args.Has(key)) knobs[key] = args.Get(key);
+  for (const std::string& key : kDiscoveryKnobs) {
+    if (args.Has(key)) {
+      knobs[key] = key == "sample-datatypes" ? "true" : args.Get(key);
+    }
   }
-  if (args.Has("sample-datatypes")) knobs["sample-datatypes"] = "true";
   return knobs;
+}
+
+/// Fails on the first flag that is neither one of `own` nor a discovery
+/// knob, so a typo or a retired flag is refused instead of ignored.
+util::Status CheckFlags(const Args& args, const std::set<std::string>& own) {
+  for (const auto& [key, value] : args.options) {
+    if (own.count(key) == 0 && kDiscoveryKnobs.count(key) == 0) {
+      return util::Status::InvalidArgument(args.command + ": unknown flag --" +
+                                           key);
+    }
+  }
+  return util::Status::Ok();
 }
 
 /// Atomically replaces `path` with a fresh SaveState snapshot (write to a
@@ -171,6 +189,10 @@ util::Status WriteCheckpoint(const core::PgHive& pipeline,
 }
 
 int CmdDiscover(const Args& args) {
+  util::Status flags = CheckFlags(
+      args, {"graph", "batches", "out", "loose", "checkpoint-to",
+             "checkpoint-every", "resume-from", "changefeed", "stop-after"});
+  if (!flags.ok()) return Fail(flags.ToString());
   if (!args.Has("graph")) return Fail("discover needs --graph FILE");
   auto loaded = pg::LoadGraphFile(args.Get("graph"));
   if (!loaded.ok()) return Fail(loaded.status().ToString());
@@ -234,6 +256,11 @@ int CmdDiscover(const Args& args) {
 
   const bool stateful = !checkpoint_to.empty() || !changefeed_path.empty() ||
                         restored > 0;
+  // Wall time of this process's discovery and of its post-processing. A
+  // sum of per-batch stage times would over-report: under pipelining one
+  // batch's preprocess runs while the previous one extracts.
+  double discovery_ms = 0;
+  double post_ms = 0;
   if (*num_batches <= 1 && !stateful) {
     if (options->pipeline_depth > 1) {
       std::fprintf(stderr,
@@ -242,8 +269,11 @@ int CmdDiscover(const Args& args) {
                    "nothing to overlap)\n",
                    static_cast<long long>(options->pipeline_depth));
     }
+    util::Timer timer;
     auto status = pipeline.Run();
     if (!status.ok()) return Fail(status.ToString());
+    post_ms = pipeline.last_stats().post_process_ms;
+    discovery_ms = timer.ElapsedMillis() - post_ms;
   } else {
     std::vector<pg::GraphBatch> batches = pg::SplitIntoBatches(
         graph, static_cast<size_t>(*num_batches), /*seed=*/1);
@@ -267,7 +297,7 @@ int CmdDiscover(const Args& args) {
     }
     size_t done = static_cast<size_t>(restored);
     uint64_t version = restored;
-    double wall_ms = 0;
+    double stage_sum_ms = 0;
     size_t depth = 1;
     // --stop-after simulates an interrupted run deterministically: process
     // that many batches, checkpoint, and exit without finishing.
@@ -285,7 +315,10 @@ int CmdDiscover(const Args& args) {
       core::BatchPipeline executor(&pipeline);
       auto status = executor.Run(slice);
       if (!status.ok()) return Fail(status.ToString());
-      wall_ms += executor.wall_ms();
+      discovery_ms += executor.wall_ms();
+      for (const core::PipelineStats& stats : executor.batch_stats()) {
+        stage_sum_ms += stats.discovery_ms();
+      }
       depth = executor.depth();
       done = end;
       if (!changefeed_path.empty()) {
@@ -308,8 +341,10 @@ int CmdDiscover(const Args& args) {
     if (pipeline.phase() == core::PgHive::Phase::kIngesting) {
       core::SchemaGraph prev;
       if (!changefeed_path.empty()) prev = pipeline.schema();
+      util::Timer timer;
       auto status = pipeline.Finish();
       if (!status.ok()) return Fail(status.ToString());
+      post_ms = timer.ElapsedMillis();
       // Post-processing can retype properties and settle cardinalities, so
       // the feed closes with one record for the finished schema.
       if (!changefeed_path.empty()) {
@@ -324,16 +359,16 @@ int CmdDiscover(const Args& args) {
     if (!changefeed_path.empty() && !feed) {
       return Fail("cannot write " + changefeed_path);
     }
-    std::printf("ingested %zu batches (pipeline depth %zu) in %.1f ms\n",
+    std::printf("ingested %zu batches (pipeline depth %zu) in %.1f ms; "
+                "per-batch stage times sum to %.1f ms (overlapped)\n",
                 batches.size() - static_cast<size_t>(restored), depth,
-                wall_ms);
+                discovery_ms, stage_sum_ms);
   }
 
   std::printf("%s", core::DescribeSchema(pipeline.schema(), graph.vocab())
                         .c_str());
-  std::printf("discovery took %.1f ms (+%.1f ms post-processing)\n",
-              pipeline.total_stats().discovery_ms(),
-              pipeline.total_stats().post_process_ms);
+  std::printf("discovery took %.1f ms wall (+%.1f ms post-processing)\n",
+              discovery_ms, post_ms);
 
   core::SchemaMode mode = args.Has("loose") ? core::SchemaMode::kLoose
                                             : core::SchemaMode::kStrict;
@@ -418,6 +453,11 @@ util::StatusOr<uint16_t> ResolvePort(const Args& args) {
 /// is byte-identical to a local `pghive discover` run with the same knobs
 /// (pinned by the service e2e tests and the CI smoke step).
 int CmdClient(const Args& args) {
+  util::Status flags = CheckFlags(
+      args, {"graph", "port", "port-file", "batches", "out", "loose",
+             "stop-after", "save-state", "load-state", "session",
+             "changefeed-out"});
+  if (!flags.ok()) return Fail(flags.ToString());
   if (!args.Has("graph")) return Fail("client needs --graph FILE");
   auto resolved_port = ResolvePort(args);
   if (!resolved_port.ok()) return Fail(resolved_port.status().ToString());
@@ -679,8 +719,8 @@ int main(int argc, char** argv) {
                " <discover|import|generate|validate|client|changefeed|drift>"
                " [options]\n"
                "  discover --graph FILE [--method elsh|minhash] [--batches N]"
-               " [--out PREFIX] [--loose] [--threads N] [--pipeline-depth D]"
-               " [--data-plane columnar|row] [--shards N]"
+               " [--out PREFIX] [--loose] [--sample-datatypes] [--threads N]"
+               " [--pipeline-depth D] [--seed N]"
                " [--checkpoint-to FILE [--checkpoint-every K]]"
                " [--resume-from FILE] [--changefeed FILE]\n"
                "  import   --nodes a.csv,b.csv --edges rels.csv --out g.pg\n"
