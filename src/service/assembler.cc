@@ -238,6 +238,25 @@ util::Status GraphAssembler::MaterializeEdge(const std::string& line,
   return util::Status::Ok();
 }
 
+std::string GraphAssembler::AssembledPayload() const {
+  if (!sized_) return std::string();
+  std::string out = "G " + std::to_string(node_filled_.size()) + ' ' +
+                    std::to_string(edge_filled_.size()) + '\n';
+  for (size_t id = 0; id < node_filled_.size(); ++id) {
+    if (!node_filled_[id]) continue;
+    std::string line = pg::FormatNodeLine(*graph_, graph_->node(id));
+    line[0] = 'R';
+    out += line;
+    out += '\n';
+  }
+  for (size_t id = 0; id < edge_filled_.size(); ++id) {
+    if (!edge_filled_[id]) continue;
+    out += pg::FormatEdgeLine(*graph_, graph_->edge(id));
+    out += '\n';
+  }
+  return out;
+}
+
 void GraphAssembler::AppendStateTo(std::string* out) const {
   util::PutU8(out, sized_ ? 1 : 0);
   PutBitmap(out, node_filled_);

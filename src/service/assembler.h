@@ -50,10 +50,16 @@ class GraphAssembler {
   size_t edges_filled() const { return edges_filled_; }
 
   /// Appends the assembler's stream-progress state (sized flag and the two
-  /// fill bitmaps, bit-packed) — the assembler section of a pghived session
-  /// snapshot (util/binio framing). The graph contents themselves are saved
-  /// separately as graph text.
+  /// fill bitmaps, bit-packed) — the assembler section of a self-contained
+  /// pghived session snapshot (util/binio framing). The graph contents
+  /// themselves are saved separately as graph text.
   void AppendStateTo(std::string* out) const;
+
+  /// Renders everything assembled so far as one ingest payload (G header,
+  /// then an R line per materialized node and an E line per materialized
+  /// edge). Applied to an empty graph that already holds this vocabulary, it
+  /// rebuilds the same graph and fill state; empty before the G header.
+  std::string AssembledPayload() const;
 
   /// Restores AppendStateTo bytes. The attached graph must already hold the
   /// replayed stream (bitmap sizes are validated against it); corrupt bytes

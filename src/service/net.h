@@ -19,8 +19,13 @@ util::StatusOr<int> ListenTcp(uint16_t port, int backlog = 16);
 /// The port a listening fd is bound to.
 util::StatusOr<uint16_t> BoundPort(int fd);
 
-/// Connects to 127.0.0.1:<port>; returns the connected fd.
+/// Connects to 127.0.0.1:<port>; returns the connected fd, with TCP_NODELAY
+/// set.
 util::StatusOr<int> ConnectTcp(uint16_t port);
+
+/// Accepts one connection on a listening fd; returns the connected fd, with
+/// TCP_NODELAY set.
+util::StatusOr<int> AcceptTcp(int listen_fd);
 
 /// A buffered line/byte reader-writer over a connected socket. Owns the fd.
 /// Single-threaded use per direction; pghived serves one request at a time

@@ -47,17 +47,20 @@ util::Status PghivedServer::Start() {
     return port.status();
   }
   port_ = *port;
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  // The loop gets the fd by value: Stop() resets listen_fd_ while the loop
+  // may still be between accept calls.
+  accept_thread_ = std::thread([this, fd = listen_fd_] { AcceptLoop(fd); });
   return util::Status::Ok();
 }
 
-void PghivedServer::AcceptLoop() {
+void PghivedServer::AcceptLoop(int listen_fd) {
   while (!stopping_.load()) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
+    auto accepted = AcceptTcp(listen_fd);
+    if (!accepted.ok()) {
       if (stopping_.load()) return;
       continue;  // EINTR or a transient accept failure.
     }
+    const int fd = *accepted;
     std::lock_guard<std::mutex> lock(connections_mutex_);
     if (stopping_.load()) {
       ::close(fd);

@@ -56,7 +56,7 @@ class PghivedServer {
   SessionManager& manager() { return manager_; }
 
  private:
-  void AcceptLoop();
+  void AcceptLoop(int listen_fd);
   void ServeConnection(int fd);
 
   Options options_;

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <future>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "core/options.h"
 #include "core/pgschema_parser.h"
@@ -22,13 +24,19 @@ namespace pghive::service {
 namespace {
 
 constexpr char kSessionMagic[4] = {'P', 'G', 'H', 'D'};
-constexpr uint32_t kSessionVersion = 1;
+// v1: self-contained (graph text + assembler sections); SaveState still
+// writes it. v2: scheduled checkpoints, whose graph is in the journal.
+constexpr uint32_t kSelfContainedVersion = 1;
+constexpr uint32_t kJournaledVersion = 2;
 
 // Session snapshot section ids ("PGHD" container). Never renumber.
 constexpr uint32_t kGraphTextSection = 1;
 constexpr uint32_t kAssemblerSection = 2;
 constexpr uint32_t kHiveStateSection = 3;
 constexpr uint32_t kCountersSection = 4;
+/// u64 batch sequence of the journal's first record; present instead of the
+/// graph text and assembler sections.
+constexpr uint32_t kJournalSection = 5;
 
 /// Ceiling on one WaitForDiffs long-poll, so a subscriber can never wedge
 /// server shutdown for longer than this.
@@ -77,7 +85,25 @@ util::Status TruncateFeedFile(const std::string& path, uint64_t max_version) {
   return AtomicWriteFile(path, bytes.substr(0, keep));
 }
 
+/// Frames one journal record: a util/binio section whose id is the batch
+/// sequence number.
+util::Status AppendJournalSection(std::string* out, uint64_t batch,
+                                  std::string_view payload) {
+  if (batch > UINT32_MAX) {
+    return util::Status::OutOfRange("journal record ids end at batch " +
+                                    std::to_string(UINT32_MAX));
+  }
+  util::AppendSection(out, static_cast<uint32_t>(batch), payload);
+  return util::Status::Ok();
+}
+
 }  // namespace
+
+std::string SessionDurability::journal_path() const {
+  if (state_path.empty()) return std::string();
+  return std::filesystem::path(state_path).replace_extension(".journal")
+      .string();
+}
 
 Session::Session(std::string id, core::PgHiveOptions options,
                  util::ThreadPool* pool, JobQueue* queue,
@@ -85,7 +111,8 @@ Session::Session(std::string id, core::PgHiveOptions options,
     : id_(std::move(id)),
       options_(options),
       durability_(std::move(durability)),
-      queue_(queue) {
+      queue_(queue),
+      journal_path_(durability_.journal_path()) {
   graph_ = std::make_unique<pg::PropertyGraph>();
   // The hive shares the cross-session pool; per-session ordering comes from
   // the job lane, not from a dedicated pool.
@@ -103,6 +130,7 @@ util::StatusOr<std::shared_ptr<Session>> Session::Create(
   // checkpoint) must not leak into this one's history.
   if (!durability.state_path.empty()) {
     std::remove(durability.state_path.c_str());
+    std::remove(durability.journal_path().c_str());
   }
   if (!durability.feed_path.empty()) {
     std::remove(durability.feed_path.c_str());
@@ -149,6 +177,9 @@ void Session::IngestJob(const std::string& payload) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (status_.ok()) status_ = status;
     return;
+  }
+  if (!journal_path_.empty()) {
+    AppendJournalRecord(hive_->batches_processed(), payload);
   }
   Publish(/*is_final=*/false);
   if (!durability_.state_path.empty() && durability_.checkpoint_every > 0 &&
@@ -251,6 +282,26 @@ void Session::AppendFeedRecord(const std::string& record) {
   }
 }
 
+void Session::AppendJournalRecord(uint64_t batch, const std::string& payload) {
+  std::string record;
+  record.reserve(payload.size() + 16);
+  util::Status status = AppendJournalSection(&record, batch, payload);
+  if (status.ok()) {
+    if (!journal_out_.is_open()) {
+      journal_out_.open(journal_path_, std::ios::binary | std::ios::app);
+    }
+    journal_out_.write(record.data(),
+                       static_cast<std::streamsize>(record.size()));
+    if (!journal_out_) {
+      status = util::Status::IoError("cannot append journal " + journal_path_);
+    }
+  }
+  if (!status.ok()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (status_.ok()) status_ = status;
+  }
+}
+
 std::shared_ptr<const SchemaSnapshot> Session::Snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return snapshot_;
@@ -310,18 +361,21 @@ util::Status Session::status() const {
   return status_;
 }
 
-util::StatusOr<std::string> Session::BuildStateBytes() {
+util::StatusOr<std::string> Session::BuildStateBytes(bool self_contained) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!status_.ok()) return status_;
   }
   std::string bytes;
   bytes.append(kSessionMagic, sizeof(kSessionMagic));
-  util::PutU32(&bytes, kSessionVersion);
-  util::AppendSection(&bytes, kGraphTextSection, pg::SaveGraphText(*graph_));
-  std::string assembler;
-  assembler_->AppendStateTo(&assembler);
-  util::AppendSection(&bytes, kAssemblerSection, assembler);
+  util::PutU32(&bytes,
+               self_contained ? kSelfContainedVersion : kJournaledVersion);
+  if (self_contained) {
+    util::AppendSection(&bytes, kGraphTextSection, pg::SaveGraphText(*graph_));
+    std::string assembler;
+    assembler_->AppendStateTo(&assembler);
+    util::AppendSection(&bytes, kAssemblerSection, assembler);
+  }
   std::ostringstream hive;
   util::Status saved = hive_->SaveState(hive);
   if (!saved.ok()) return saved;
@@ -337,20 +391,91 @@ util::StatusOr<std::string> Session::BuildStateBytes() {
     util::PutU8(&counters, finish_submitted_ ? 1 : 0);
   }
   util::AppendSection(&bytes, kCountersSection, counters);
+  if (!self_contained) {
+    std::string journal;
+    util::PutU64(&journal, journal_first_batch_);
+    util::AppendSection(&bytes, kJournalSection, journal);
+  }
   return bytes;
 }
 
 util::Status Session::CheckpointInLane() {
   if (durability_.state_path.empty()) return util::Status::Ok();
-  auto bytes = BuildStateBytes();
+  auto bytes = BuildStateBytes(/*self_contained=*/false);
   if (!bytes.ok()) return bytes.status();
+  // The checkpoint counts journal records, so every one of them must be in
+  // the file before the checkpoint replaces its predecessor.
+  if (journal_out_.is_open() && !journal_out_.flush()) {
+    return util::Status::IoError("cannot flush journal " + journal_path_);
+  }
   return AtomicWriteFile(durability_.state_path, *bytes);
+}
+
+util::Status Session::ReplayJournal(uint64_t first_batch, uint64_t batches) {
+  journal_first_batch_ = first_batch;
+  std::string bytes;
+  std::ifstream in(journal_path_, std::ios::binary);
+  if (in) {
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+    if (in.bad()) return util::Status::IoError("cannot read " + journal_path_);
+  }
+  const uint64_t records = batches == 0 ? 0 : batches - first_batch + 1;
+  util::ByteReader reader(bytes);
+  for (uint64_t i = 0; i < records; ++i) {
+    const uint64_t batch = first_batch + i;
+    const std::string where = "journal " + journal_path_ + ": record " +
+                              std::to_string(i + 1) + " of " +
+                              std::to_string(records) + " (batch " +
+                              std::to_string(batch) + ")";
+    if (reader.AtEnd()) return util::Status::ParseError(where + " is missing");
+    uint32_t id = 0;
+    std::string_view payload;
+    if (!util::ReadSection(&reader, &id, &payload)) {
+      return util::Status::ParseError(where + " is truncated or corrupt");
+    }
+    if (id != batch) {
+      return util::Status::ParseError(where + " is numbered " +
+                                      std::to_string(id));
+    }
+    pg::GraphBatch members;  // Membership is already folded into the hive.
+    util::Status applied =
+        assembler_->ApplyPayload(std::string(payload), &members);
+    if (!applied.ok()) {
+      return util::Status(applied.code(), where + ": " + applied.message());
+    }
+  }
+  // Same reconcile rule as the feed segment: keep the records the checkpoint
+  // counts and drop the rest — a torn tail from a crash, or batches the
+  // client will resend (and the session re-append) after the restart.
+  if (reader.pos() < bytes.size()) {
+    std::error_code ec;
+    std::filesystem::resize_file(journal_path_, reader.pos(), ec);
+    if (ec) {
+      return util::Status::IoError("cannot truncate " + journal_path_ + ": " +
+                                   ec.message());
+    }
+  }
+  return util::Status::Ok();
+}
+
+util::Status Session::RebaseJournal(uint64_t batches) {
+  if (batches == 0) {
+    std::remove(journal_path_.c_str());
+    return util::Status::Ok();
+  }
+  journal_first_batch_ = batches;
+  std::string record;
+  util::Status framed = AppendJournalSection(
+      &record, batches, assembler_->AssembledPayload());
+  if (!framed.ok()) return framed;
+  return AtomicWriteFile(journal_path_, record);
 }
 
 util::StatusOr<std::string> Session::SaveState() {
   auto task = std::make_shared<
       std::packaged_task<util::StatusOr<std::string>()>>(
-      [this] { return BuildStateBytes(); });
+      [this] { return BuildStateBytes(/*self_contained=*/true); });
   std::future<util::StatusOr<std::string>> future = task->get_future();
   if (!queue_->Submit(id_, [task] { (*task)(); })) {
     return util::Status::FailedPrecondition("service is shutting down");
@@ -380,10 +505,10 @@ util::StatusOr<std::shared_ptr<Session>> Session::CreateFromState(
   }
   in.ReadBytes(sizeof(kSessionMagic));
   uint32_t version = in.ReadU32();
-  // Forward compatible like the "PGHS" reader: newer writers may only append
-  // optional sections, so any version >= ours restores; unknown section ids
+  // Forward compatible like the "PGHS" reader: which sections are present,
+  // not the version word, decides how to restore, and unknown section ids
   // below are skipped.
-  if (!in.ok() || version < kSessionVersion) {
+  if (!in.ok() || version < kSelfContainedVersion) {
     return util::Status::ParseError(
         "session snapshot: bad header or unsupported version");
   }
@@ -400,58 +525,86 @@ util::StatusOr<std::shared_ptr<Session>> Session::CreateFromState(
                                       std::to_string(section_id));
     }
   }
-  for (uint32_t required : {kGraphTextSection, kAssemblerSection,
-                            kHiveStateSection, kCountersSection}) {
-    if (!sections.count(required)) {
+  const bool journaled = sections.count(kJournalSection) != 0;
+  std::vector<uint32_t> required = {kHiveStateSection, kCountersSection};
+  if (!journaled) {
+    required.insert(required.end(), {kGraphTextSection, kAssemblerSection});
+  }
+  for (uint32_t section : required) {
+    if (!sections.count(section)) {
       return util::Status::ParseError("session snapshot: missing section " +
-                                      std::to_string(required));
+                                      std::to_string(section));
     }
   }
   const std::string hive_bytes(sections.at(kHiveStateSection));
   auto options = core::ReadSnapshotOptions(hive_bytes);
   if (!options.ok()) return options.status();
 
+  util::ByteReader counters(sections.at(kCountersSection));
+  const uint64_t batches_submitted = counters.ReadU64();
+  const uint64_t versions_published = counters.ReadU64();
+  const uint8_t finish_submitted = counters.ReadU8();
+  if (!counters.ok() || !counters.AtEnd() || finish_submitted > 1) {
+    return util::Status::ParseError(
+        "session snapshot: corrupt counters section");
+  }
+  uint64_t journal_first_batch = 1;
+  if (journaled) {
+    if (durability.state_path.empty()) {
+      return util::Status::FailedPrecondition(
+          "session snapshot: the graph is in the journal beside its "
+          "checkpoint; restore it from the checkpoint dir");
+    }
+    util::ByteReader journal(sections.at(kJournalSection));
+    journal_first_batch = journal.ReadU64();
+    if (!journal.ok() || !journal.AtEnd() || journal_first_batch == 0 ||
+        (batches_submitted == 0 ? journal_first_batch != 1
+                                : journal_first_batch > batches_submitted)) {
+      return util::Status::ParseError(
+          "session snapshot: corrupt journal section");
+    }
+  }
+
   // Reconcile the feed segment with the snapshot before the session can
   // publish: drop any torn tail and any versions past the checkpoint's
   // counter — replaying the uncheckpointed batches re-appends those same
   // versions, byte-identically, without duplication.
   if (!durability.feed_path.empty()) {
-    util::ByteReader counters_peek(sections.at(kCountersSection));
-    counters_peek.ReadU64();  // batches
-    uint64_t published = counters_peek.ReadU64();
-    if (!counters_peek.ok()) {
-      return util::Status::ParseError(
-          "session snapshot: corrupt counters section");
-    }
-    util::Status truncated = TruncateFeedFile(durability.feed_path, published);
+    util::Status truncated =
+        TruncateFeedFile(durability.feed_path, versions_published);
     if (!truncated.ok()) return truncated;
   }
 
   std::shared_ptr<Session> session(new Session(std::move(id), *options, pool,
                                                queue, std::move(durability)));
   // Order matters: the hive restore rebuilds the vocabulary first (trivially
-  // position-consistent with the empty graph), so the graph-text replay
-  // below resolves every label and key to its snapshotted id — the id order
-  // the stream preamble had fixed, which the feature layout depends on.
+  // position-consistent with the empty graph), so the graph replay below
+  // resolves every label and key to its snapshotted id — the id order the
+  // stream preamble had fixed, which the feature layout depends on.
   std::istringstream hive_in(hive_bytes);
   auto restored = session->hive_->RestoreState(hive_in);
   if (!restored.ok()) return restored.status();
-  util::Status replayed = pg::LoadGraphTextInto(
-      std::string(sections.at(kGraphTextSection)), session->graph_.get());
-  if (!replayed.ok()) return replayed;
-  util::Status assembler =
-      session->assembler_->RestoreState(sections.at(kAssemblerSection));
-  if (!assembler.ok()) return assembler;
-
-  util::ByteReader counters(sections.at(kCountersSection));
-  uint64_t batches_submitted = counters.ReadU64();
-  uint64_t versions_published = counters.ReadU64();
-  uint8_t finish_submitted = counters.ReadU8();
-  if (!counters.ok() || !counters.AtEnd() || finish_submitted > 1 ||
-      batches_submitted != *restored) {
+  if (batches_submitted != *restored) {
     return util::Status::ParseError(
         "session snapshot: corrupt counters section");
   }
+  if (journaled) {
+    util::Status replayed =
+        session->ReplayJournal(journal_first_batch, batches_submitted);
+    if (!replayed.ok()) return replayed;
+  } else {
+    util::Status replayed = pg::LoadGraphTextInto(
+        std::string(sections.at(kGraphTextSection)), session->graph_.get());
+    if (!replayed.ok()) return replayed;
+    util::Status assembler =
+        session->assembler_->RestoreState(sections.at(kAssemblerSection));
+    if (!assembler.ok()) return assembler;
+    if (!session->journal_path_.empty()) {
+      util::Status rebased = session->RebaseJournal(batches_submitted);
+      if (!rebased.ok()) return rebased;
+    }
+  }
+
   session->batches_submitted_ = batches_submitted;
   session->versions_published_ = versions_published;
   session->finish_submitted_ = finish_submitted != 0;

@@ -47,10 +47,11 @@ struct ValidationResult {
 /// the in-memory backlog. Default-constructed == fully in-memory (the
 /// pre-durability behavior). Paths are owned by the session: a fresh session
 /// deletes any stale files at them, a restored one reconciles the feed
-/// segment against the snapshot's version counter.
+/// segment and the graph journal against the snapshot's counters.
 struct SessionDurability {
   std::string state_path;  ///< "PGHD" snapshot target; empty = no scheduled
-                           ///< checkpoints.
+                           ///< checkpoints. The graph lives beside it in
+                           ///< journal_path().
   std::string feed_path;   ///< Changefeed segment file (concatenated "PGHF"
                            ///< records); empty = in-memory backlog only.
   /// Checkpoint after every N committed batches (and always on Finish);
@@ -59,6 +60,11 @@ struct SessionDurability {
   /// Diff records retained in memory; subscribers further behind read the
   /// segment file (or get OutOfRange when there is none).
   size_t feed_backlog = 256;
+
+  /// The append-only graph journal beside state_path ("s1.pghd" ->
+  /// "s1.journal"): one CRC-framed util/binio section per committed ingest
+  /// payload, section id = batch sequence. Empty without a state_path.
+  std::string journal_path() const;
 };
 
 /// One tenant of pghived: a streamed graph, its PgHive pipeline, and the
@@ -82,12 +88,16 @@ class Session {
       util::ThreadPool* pool, JobQueue* queue,
       SessionDurability durability = {});
 
-  /// Rebuilds a session from SaveState bytes (the pghived load-state verb):
-  /// restores the hive snapshot into a fresh hive (vocabulary first, so the
-  /// replayed graph text below resolves every label/key to its original id),
-  /// replays the graph text, and restores the assembler's fill bitmaps and
-  /// the session counters. Streaming the remaining batches afterwards
-  /// produces a schema byte-identical to the uninterrupted session's.
+  /// Rebuilds a session from "PGHD" bytes: SaveState bytes (the pghived
+  /// load-state verb) or a scheduled checkpoint. Restores the hive snapshot
+  /// into a fresh hive (vocabulary first, so the replayed graph below
+  /// resolves every label/key to its original id), then rebuilds the graph
+  /// and the assembler's fill bitmaps — from the graph text and assembler
+  /// sections of a self-contained snapshot, or by replaying the first
+  /// `batches` records of durability.journal_path() for a checkpoint — and
+  /// restores the session counters. Streaming the remaining batches
+  /// afterwards produces a schema byte-identical to the uninterrupted
+  /// session's.
   static util::StatusOr<std::shared_ptr<Session>> CreateFromState(
       std::string id, const std::string& bytes, util::ThreadPool* pool,
       JobQueue* queue, SessionDurability durability = {});
@@ -136,8 +146,10 @@ class Session {
 
   /// Checkpoints the session to its durability state_path now, as a lane job
   /// (so the bytes always describe a batch boundary), waiting for the write.
-  /// The write is atomic (tmp + rename). No-op Ok without a state_path. The
-  /// SIGTERM drain calls this for every live session.
+  /// The checkpoint holds the hive state and counters; the graph is in the
+  /// journal, which is flushed first. The write is atomic (tmp + rename).
+  /// No-op Ok without a state_path. The SIGTERM drain calls this for every
+  /// live session.
   util::Status WriteCheckpoint();
 
   /// Long-polls the session's schema changefeed: returns every buffered
@@ -170,11 +182,25 @@ class Session {
   /// (spilled to the feed segment file *before* the version becomes visible,
   /// so the file always covers every published version). Lane jobs only.
   void Publish(bool is_final);
-  /// Serializes the full session snapshot bytes. Lane jobs only.
-  util::StatusOr<std::string> BuildStateBytes();
-  /// Atomic (tmp + rename) checkpoint to durability_.state_path; Ok when no
-  /// path is configured. Lane jobs only.
+  /// Serializes the session snapshot bytes: self-contained (graph text and
+  /// assembler sections, the SaveState layout) or, for checkpoints, with a
+  /// section that points at the graph journal instead. Lane jobs only.
+  util::StatusOr<std::string> BuildStateBytes(bool self_contained);
+  /// Flushes the journal, then writes the checkpoint atomically (tmp +
+  /// rename) to durability_.state_path; Ok when no path is configured. Lane
+  /// jobs only.
   util::Status CheckpointInLane();
+  /// Buffers one journal record (flushed by the next checkpoint); a write
+  /// failure poisons the session. Lane jobs only.
+  void AppendJournalRecord(uint64_t batch, const std::string& payload);
+  /// Restore only: applies journal records first_batch..batches to the
+  /// empty graph (failing with the file and record index when one of them
+  /// is missing or corrupt), then truncates the file after the last one.
+  util::Status ReplayJournal(uint64_t first_batch, uint64_t batches);
+  /// Restore of a self-contained snapshot into a journaled session: rewrites
+  /// the journal as one record holding the whole restored graph, numbered
+  /// `batches`, so later checkpoints can point at it.
+  util::Status RebaseJournal(uint64_t batches);
   /// Appends one serialized diff record to the feed segment file and
   /// flushes; a write failure poisons the session (durability was promised).
   /// Lane jobs only.
@@ -200,6 +226,12 @@ class Session {
   core::SchemaGraph prev_schema_;
   /// Appender for durability_.feed_path (lazily opened); lane jobs only.
   std::ofstream feed_out_;
+  const std::string journal_path_;  ///< durability_.journal_path().
+  /// Appender for journal_path_ (lazily opened); lane jobs only.
+  std::ofstream journal_out_;
+  /// Batch sequence of the journal's first record: 1, or k when a restore
+  /// from a self-contained snapshot folded batches 1..k into one record.
+  uint64_t journal_first_batch_ = 1;
 
   mutable std::mutex mutex_;
   std::condition_variable feed_cv_;

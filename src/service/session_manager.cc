@@ -13,11 +13,15 @@ namespace pghive::service {
 
 namespace {
 
-/// Parses the numeric part of a checkpoint filename "s<k>.pghd" / "s<k>.feed"
-/// into *id; false for anything else (including foreign files in the dir).
+/// Parses the numeric part of a checkpoint filename "s<k>.pghd" /
+/// "s<k>.feed" / "s<k>.journal" into *id; false for anything else (including
+/// foreign files in the dir).
 bool ParseCheckpointId(const std::string& stem, const std::string& extension,
                        uint64_t* id) {
-  if (extension != ".pghd" && extension != ".feed") return false;
+  if (extension != ".pghd" && extension != ".feed" &&
+      extension != ".journal") {
+    return false;
+  }
   if (stem.size() < 2 || stem[0] != 's') return false;
   uint64_t value = 0;
   for (size_t i = 1; i < stem.size(); ++i) {
@@ -93,9 +97,9 @@ util::Status SessionManager::RestoreFromCheckpointDir() {
                            entry.path().extension().string(), &id)) {
       continue;
     }
-    // Feed segments without a snapshot still reserve the id: a session that
-    // published but died before its first checkpoint must not have its feed
-    // file inherited by an unrelated new session.
+    // Feed segments and journals without a snapshot still reserve the id: a
+    // session that published but died before its first checkpoint must not
+    // have its files inherited by an unrelated new session.
     max_id = std::max(max_id, id);
     if (entry.path().extension() == ".pghd") {
       snapshots.emplace_back(id, entry.path().string());
@@ -172,6 +176,7 @@ util::Status SessionManager::Close(const std::string& id) {
     SessionDurability durability = DurabilityFor(id);
     std::remove(durability.state_path.c_str());
     std::remove(durability.feed_path.c_str());
+    std::remove(durability.journal_path().c_str());
   }
   return util::Status::Ok();
 }

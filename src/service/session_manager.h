@@ -22,8 +22,9 @@ class SessionManager {
   struct Options {
     size_t max_sessions = 64;  ///< Eviction backstop for runaway clients.
     /// Directory for daemon-owned durability: every session checkpoints its
-    /// "PGHD" snapshot to <dir>/<id>.pghd and spills evicted changefeed
-    /// records to <dir>/<id>.feed. Empty = fully in-memory sessions.
+    /// "PGHD" snapshot to <dir>/<id>.pghd, journals its ingest payloads to
+    /// <dir>/<id>.journal, and spills evicted changefeed records to
+    /// <dir>/<id>.feed. Empty = fully in-memory sessions.
     std::string checkpoint_dir;
     /// Batches between scheduled checkpoints (Finish always checkpoints).
     uint64_t checkpoint_every = 1;
@@ -60,7 +61,7 @@ class SessionManager {
   util::StatusOr<std::shared_ptr<Session>> Lookup(const std::string& id) const;
 
   /// Removes the session, waits for its queued jobs to finish, and deletes
-  /// its checkpoint and feed-segment files — an explicit close means the
+  /// its checkpoint, journal and feed-segment files — an explicit close means the
   /// client is done with the session's history.
   util::Status Close(const std::string& id);
 

@@ -1,9 +1,10 @@
 // Daemon-owned durability: a SessionManager given a checkpoint_dir writes
-// scheduled "PGHD" snapshots and changefeed segment files on its own
-// authority, a fresh manager over the same directory restores every session
-// under its original id, and subscribers can replay the *full* changefeed —
-// including versions evicted from the in-memory backlog — byte-identically
-// across the restart. No client save-state/load-state anywhere in this file.
+// scheduled "PGHD" snapshots, graph journals and changefeed segment files on
+// its own authority, a fresh manager over the same directory restores every
+// session under its original id, and subscribers can replay the *full*
+// changefeed — including versions evicted from the in-memory backlog —
+// byte-identically across the restart. No client save-state/load-state
+// anywhere in this file.
 
 #include <gtest/gtest.h>
 
@@ -306,10 +307,12 @@ TEST(DurableSessionTest, CloseDeletesCheckpointAndFeedFiles) {
   ASSERT_TRUE((*session)->FinalSnapshot().ok());
   ASSERT_TRUE(fs::exists(dir + "/s1.pghd"));
   ASSERT_TRUE(fs::exists(dir + "/s1.feed"));
+  ASSERT_TRUE(fs::exists(dir + "/s1.journal"));
 
   ASSERT_TRUE(manager.Close("s1").ok());
   EXPECT_FALSE(fs::exists(dir + "/s1.pghd"));
   EXPECT_FALSE(fs::exists(dir + "/s1.feed"));
+  EXPECT_FALSE(fs::exists(dir + "/s1.journal"));
 }
 
 TEST(DurableSessionTest, OrphanFeedFileReservesItsSessionId) {
@@ -326,6 +329,18 @@ TEST(DurableSessionTest, OrphanFeedFileReservesItsSessionId) {
   auto session = manager.CreateSession({});
   ASSERT_TRUE(session.ok());
   EXPECT_EQ((*session)->id(), "s8");
+
+  // An orphan journal (journaled, died before the first checkpoint) reserves
+  // its id the same way.
+  const std::string journal_dir = FreshCheckpointDir("orphan_journal");
+  fs::create_directories(journal_dir);
+  std::ofstream(journal_dir + "/s9.journal", std::ios::binary) << "leftover";
+  SessionManager journal_manager(nullptr, DurableOptions(journal_dir));
+  ASSERT_TRUE(journal_manager.RestoreFromCheckpointDir().ok());
+  EXPECT_EQ(journal_manager.num_sessions(), 0u);
+  auto next = journal_manager.CreateSession({});
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ((*next)->id(), "s10");
 }
 
 TEST(DurableSessionTest, CorruptCheckpointFailsRestoreLoudly) {
@@ -387,6 +402,182 @@ TEST(DurableSessionTest, TornFeedTailIsDroppedOnRestore) {
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 1u);
   EXPECT_EQ((*records)[0].version_to, batches + 1);
+}
+
+// --- Graph journal ----------------------------------------------------------
+// A scheduled checkpoint holds the hive state and counters; the graph is in
+// <id>.journal, one CRC-framed section per committed payload (section id =
+// batch sequence). Restore replays the records the checkpoint counts.
+
+/// Bytes of journal records 1..n for these payloads: each is a u32 id, a u64
+/// length, the payload and a u32 CRC.
+uint64_t JournalPrefixBytes(const std::vector<std::string>& payloads,
+                            size_t n) {
+  uint64_t bytes = 0;
+  for (size_t i = 0; i < n; ++i) bytes += 4 + 8 + payloads[i].size() + 4;
+  return bytes;
+}
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteAll(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// Streams the first `streamed` of `payloads` into a fresh durable manager
+/// over `dir` (which the manager then leaves behind, as a dead daemon would).
+void StreamIntoDir(const std::string& dir,
+                   const std::vector<std::string>& payloads, size_t streamed,
+                   uint64_t checkpoint_every) {
+  SessionManager manager(nullptr, DurableOptions(dir, checkpoint_every));
+  ASSERT_TRUE(manager.RestoreFromCheckpointDir().ok());
+  auto session = manager.CreateSession({});
+  ASSERT_TRUE(session.ok());
+  for (size_t i = 0; i < streamed; ++i) {
+    ASSERT_TRUE((*session)->SubmitIngest(payloads[i]).ok());
+  }
+  (*session)->Drain();
+  ASSERT_TRUE((*session)->status().ok());
+}
+
+TEST(DurableSessionTest, CheckpointKeepsTheGraphInTheJournal) {
+  const size_t batches = 3;
+  pg::PropertyGraph graph = SocialGraph();
+  auto payloads = BuildIngestPayloads(graph, batches);
+  const std::string dir = FreshCheckpointDir("journal_layout");
+  StreamIntoDir(dir, payloads, batches, 1);
+
+  // One record per committed payload, nothing else.
+  EXPECT_EQ(fs::file_size(dir + "/s1.journal"),
+            JournalPrefixBytes(payloads, batches));
+  // The checkpoint is "PGHD" v2 and carries no graph text: it is smaller
+  // than the graph it describes.
+  const std::string checkpoint = ReadAll(dir + "/s1.pghd");
+  ASSERT_GT(checkpoint.size(), 8u);
+  EXPECT_EQ(checkpoint.compare(0, 4, "PGHD"), 0);
+  EXPECT_EQ(checkpoint[4], 2);
+  EXPECT_EQ(checkpoint.find(payloads[0].substr(0, 40)), std::string::npos);
+}
+
+TEST(DurableSessionTest, TornAndUncountedJournalRecordsAreDroppedOnRestore) {
+  const size_t batches = 4;
+  const std::string expected = UninterruptedSessionPgs(batches);
+  pg::PropertyGraph graph = SocialGraph();
+  auto payloads = BuildIngestPayloads(graph, batches);
+  const std::string dir = FreshCheckpointDir("journal_tail");
+
+  // checkpoint_every=2 over 3 batches: the checkpoint counts 2 records, the
+  // journal holds 3. Then a crash tears a fourth record mid-write.
+  StreamIntoDir(dir, payloads, 3, /*checkpoint_every=*/2);
+  const std::string journal = dir + "/s1.journal";
+  ASSERT_EQ(fs::file_size(journal), JournalPrefixBytes(payloads, 3));
+  {
+    std::ofstream torn(journal, std::ios::binary | std::ios::app);
+    torn << "\x04\x00\x00\x00\x90";
+  }
+
+  SessionManager manager(nullptr, DurableOptions(dir, 2));
+  ASSERT_TRUE(manager.RestoreFromCheckpointDir().ok());
+  auto restored = manager.Lookup("s1");
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ((*restored)->batches_ingested(), 2u);
+  EXPECT_EQ(fs::file_size(journal), JournalPrefixBytes(payloads, 2));
+
+  // The client resends batch 3 onward; the journal grows back in step.
+  for (size_t i = 2; i < batches; ++i) {
+    ASSERT_TRUE((*restored)->SubmitIngest(payloads[i]).ok());
+  }
+  auto final_snapshot = (*restored)->FinalSnapshot();
+  ASSERT_TRUE(final_snapshot.ok()) << final_snapshot.status().ToString();
+  EXPECT_EQ((*final_snapshot)->pgs_strict, expected);
+  EXPECT_EQ(fs::file_size(journal), JournalPrefixBytes(payloads, batches));
+}
+
+TEST(DurableSessionTest, BrokenCountedJournalFailsRestoreNamingFileAndRecord) {
+  const size_t batches = 3;
+  pg::PropertyGraph graph = SocialGraph();
+  auto payloads = BuildIngestPayloads(graph, batches);
+  const std::string pristine = FreshCheckpointDir("journal_broken_src");
+  StreamIntoDir(pristine, payloads, batches, 1);
+  const std::string journal = ReadAll(pristine + "/s1.journal");
+  ASSERT_EQ(journal.size(), JournalPrefixBytes(payloads, batches));
+
+  struct Case {
+    const char* name;
+    bool remove;         ///< Delete the journal outright.
+    size_t keep;         ///< Else: keep this many bytes...
+    size_t flip_offset;  ///< ...and flip the low bit here (npos: no flip).
+    const char* record;  ///< The record the error must name.
+  };
+  const size_t record2 = JournalPrefixBytes(payloads, 1);
+  const Case cases[] = {
+      {"missing", true, 0, std::string::npos, "record 1 of 3"},
+      {"short", false, JournalPrefixBytes(payloads, 2), std::string::npos,
+       "record 3 of 3"},
+      {"torn_inside", false, journal.size() - 3, std::string::npos,
+       "record 3 of 3"},
+      {"crc", false, journal.size(), record2 + 12 + 5, "record 2 of 3"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = FreshCheckpointDir(std::string("journal_") + c.name);
+    fs::copy(pristine, dir, fs::copy_options::recursive);
+    if (c.remove) {
+      fs::remove(dir + "/s1.journal");
+    } else {
+      std::string bytes = journal.substr(0, c.keep);
+      if (c.flip_offset != std::string::npos) bytes[c.flip_offset] ^= 1;
+      WriteAll(dir + "/s1.journal", bytes);
+    }
+    SessionManager manager(nullptr, DurableOptions(dir));
+    util::Status status = manager.RestoreFromCheckpointDir();
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("s1.journal"), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find(c.record), std::string::npos)
+        << status.ToString();
+  }
+}
+
+TEST(DurableSessionTest, SeededJournalBitFlipsAndTruncationsNeverRestoreWrong) {
+  // Every byte of this journal is inside the prefix the checkpoint counts,
+  // so every flip or cut must fail the restore loudly — never crash, never
+  // restore a different graph.
+  const size_t batches = 3;
+  pg::PropertyGraph graph = SocialGraph();
+  auto payloads = BuildIngestPayloads(graph, batches);
+  const std::string pristine = FreshCheckpointDir("journal_sweep_src");
+  StreamIntoDir(pristine, payloads, batches, 1);
+  const std::string journal = ReadAll(pristine + "/s1.journal");
+  const std::string checkpoint = ReadAll(pristine + "/s1.pghd");
+  ASSERT_FALSE(journal.empty());
+
+  const std::string dir = FreshCheckpointDir("journal_sweep");
+  uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (int trial = 0; trial < 96; ++trial) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    std::string corrupt = journal;
+    const size_t offset = static_cast<size_t>((state >> 16) % journal.size());
+    if (trial % 3 == 0) {
+      corrupt.resize(offset);
+    } else {
+      corrupt[offset] =
+          static_cast<char>(corrupt[offset] ^ (1 << ((state >> 8) % 8)));
+    }
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    WriteAll(dir + "/s1.pghd", checkpoint);
+    WriteAll(dir + "/s1.journal", corrupt);
+    SessionManager manager(nullptr, DurableOptions(dir));
+    util::Status status = manager.RestoreFromCheckpointDir();
+    EXPECT_FALSE(status.ok()) << "trial " << trial << " offset " << offset;
+    EXPECT_NE(status.message().find("s1.journal"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 }  // namespace

@@ -3,11 +3,14 @@
 // NotFound("connection closed") an orderly peer disconnect does — callers
 // branch on NotFound to mean "peer went away", so an EBADF IoError from
 // recv(-1, ...) would misclassify every post-close read as a hard failure.
+// Both ends of every connection also run with TCP_NODELAY.
 
 #include "service/net.h"
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -19,7 +22,8 @@
 namespace pghive::service {
 namespace {
 
-/// A connected loopback socket pair: client stream + raw server fd.
+/// A connected loopback socket pair: client stream + raw server fd, accepted
+/// the way pghived accepts connections.
 struct LoopbackPair {
   SocketStream client{-1};
   int server_fd = -1;
@@ -32,8 +36,9 @@ struct LoopbackPair {
     auto client_fd = ConnectTcp(*port);
     EXPECT_TRUE(client_fd.ok()) << client_fd.status().ToString();
     client = SocketStream(*client_fd);
-    server_fd = ::accept(*listen_fd, nullptr, nullptr);
-    EXPECT_GE(server_fd, 0);
+    auto accepted = AcceptTcp(*listen_fd);
+    EXPECT_TRUE(accepted.ok()) << accepted.status().ToString();
+    server_fd = accepted.ok() ? *accepted : -1;
     ::close(*listen_fd);
   }
 
@@ -41,6 +46,22 @@ struct LoopbackPair {
     if (server_fd >= 0) ::close(server_fd);
   }
 };
+
+bool NagleDisabled(int fd) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value != 0;
+}
+
+TEST(SocketStreamTest, ConnectedAndAcceptedSocketsSetNoDelay) {
+  // A request line and its body are two sends; with Nagle on, the body
+  // waits for the peer's delayed ACK of the line (about 40 ms on Linux).
+  LoopbackPair pair;
+  EXPECT_TRUE(NagleDisabled(pair.client.fd()));
+  ASSERT_GE(pair.server_fd, 0);
+  EXPECT_TRUE(NagleDisabled(pair.server_fd));
+}
 
 TEST(SocketStreamTest, ReadsOnClosedStreamReturnNotFound) {
   SocketStream stream(-1);

@@ -11,8 +11,9 @@
 // jobs before exiting.
 //
 // With --checkpoint-dir the daemon is durable on its own authority: every
-// session checkpoints to DIR after every --checkpoint-every ingested batches
-// (default 1) and once more during the SIGTERM drain, changefeed records
+// session journals its ingest payloads to DIR, checkpoints its discovery
+// state there after every --checkpoint-every ingested batches (default 1)
+// and once more during the SIGTERM drain, changefeed records
 // evicted from the in-memory backlog spill to per-session segment files in
 // DIR, and a restarted daemon restores every snapshot it finds there — no
 // client save-state/load-state required.
