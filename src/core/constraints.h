@@ -12,8 +12,7 @@ namespace pghive::core {
 void InferPropertyConstraints(SchemaGraph* schema);
 
 /// The frequency f_T(p) for one property of one type (0 if unknown key).
-double PropertyFrequency(const NodeType& type, pg::PropKeyId key);
-double PropertyFrequency(const EdgeType& type, pg::PropKeyId key);
+double PropertyFrequency(const ElementType& type, pg::PropKeyId key);
 
 }  // namespace pghive::core
 

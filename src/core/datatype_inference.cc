@@ -15,10 +15,9 @@ const pg::Value* GetValue(const pg::PropertyGraph& graph, uint64_t instance,
   return graph.node(instance).properties.Get(key);
 }
 
-template <typename TypeT>
 void InferForType(const pg::PropertyGraph& graph, bool edges,
                   const DataTypeOptions& options, util::Rng* rng,
-                  TypeT* type) {
+                  ElementType* type) {
   for (auto& [key, info] : type->properties) {
     pg::DataType joined = pg::DataType::kNull;
     size_t seen = 0;
@@ -56,24 +55,17 @@ void InferDataTypes(const pg::PropertyGraph& graph, SchemaGraph* schema,
                     const DataTypeOptions& options, util::ThreadPool* pool) {
   // One pre-split RNG per type (seeded by kind + index, not by a shared
   // stream) so the sampled values do not depend on scan order or pool size.
-  auto type_rng = [&options](uint64_t kind, size_t index) {
-    return util::Rng(util::HashCombine(util::Mix64(options.seed ^ kind),
-                                       static_cast<uint64_t>(index)));
+  auto infer_kind = [&](auto& types, uint64_t kind, bool edges) {
+    util::ParallelFor(pool, 0, types.size(), 1, [&](size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) {
+        util::Rng rng(util::HashCombine(util::Mix64(options.seed ^ kind),
+                                        static_cast<uint64_t>(i)));
+        InferForType(graph, edges, options, &rng, &types[i]);
+      }
+    });
   };
-  auto& node_types = schema->node_types();
-  util::ParallelFor(pool, 0, node_types.size(), 1, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      util::Rng rng = type_rng(0x4E, i);
-      InferForType(graph, /*edges=*/false, options, &rng, &node_types[i]);
-    }
-  });
-  auto& edge_types = schema->edge_types();
-  util::ParallelFor(pool, 0, edge_types.size(), 1, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      util::Rng rng = type_rng(0xED, i);
-      InferForType(graph, /*edges=*/true, options, &rng, &edge_types[i]);
-    }
-  });
+  infer_kind(schema->node_types(), 0x4E, /*edges=*/false);
+  infer_kind(schema->edge_types(), 0xED, /*edges=*/true);
 }
 
 pg::DataType FullScanType(const pg::PropertyGraph& graph,
@@ -114,10 +106,9 @@ std::array<double, 4> SamplingErrorReport::BinFractions() const {
 
 namespace {
 
-template <typename TypeT>
 void SamplingErrorsForType(const pg::PropertyGraph& graph, bool edges,
                            const DataTypeOptions& options, util::Rng* rng,
-                           const TypeT& type,
+                           const ElementType& type,
                            std::vector<double>* out) {
   for (const auto& [key, info] : type.properties) {
     pg::DataType full = FullScanType(graph, type.instances, edges, key);

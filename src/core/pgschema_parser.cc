@@ -154,6 +154,22 @@ class Parser {
     }
   }
 
+  // "[ABSTRACT] TypeName [: Labels] [{props}]", the spec node and edge
+  // elements share. The text carries no counts, so the type stands for one
+  // instance that carries every mandatory property.
+  util::Status ParseTypeSpec(ElementType* type) {
+    (void)ConsumeWord("ABSTRACT");
+    (void)Identifier();  // Type name.
+    if (Consume(':')) type->labels = ParseLabelSpec();
+    util::Status status = ParsePropertyBlock(&type->properties);
+    if (!status.ok()) return status;
+    type->instance_count = 1;
+    for (auto& [key, info] : type->properties) {
+      if (info.requiredness == Requiredness::kMandatory) info.count = 1;
+    }
+    return util::Status::Ok();
+  }
+
   // Elements: "(TypeName : Labels {props})" or
   // "(:SrcType)-[TypeName : Labels {props}]->(:DstType)".
   util::Status ParseElement(SchemaGraph* schema) {
@@ -173,10 +189,7 @@ class Parser {
       if (!Consume(')')) return Error("expected ')' after source");
       if (!Consume('-') || !Consume('[')) return Error("expected '-['");
       EdgeType edge;
-      (void)ConsumeWord("ABSTRACT");
-      (void)Identifier();  // Type name.
-      if (Consume(':')) edge.labels = ParseLabelSpec();
-      util::Status status = ParsePropertyBlock(&edge.properties);
+      util::Status status = ParseTypeSpec(&edge);
       if (!status.ok()) return status;
       if (!Consume(']') || !Consume('-') || !Consume('>')) {
         return Error("expected ']->'");
@@ -188,10 +201,6 @@ class Parser {
         if (!Consume('|')) break;
       }
       if (!Consume(')')) return Error("expected ')' after target");
-      edge.instance_count = 1;
-      for (auto& [key, info] : edge.properties) {
-        if (info.requiredness == Requiredness::kMandatory) info.count = 1;
-      }
       last_comment_.clear();
       SkipSpace();  // May capture the cardinality comment.
       if (!last_comment_.empty()) {
@@ -235,16 +244,9 @@ class Parser {
 
     // Node element.
     NodeType node;
-    (void)ConsumeWord("ABSTRACT");
-    (void)Identifier();  // Type name.
-    if (Consume(':')) node.labels = ParseLabelSpec();
-    util::Status status = ParsePropertyBlock(&node.properties);
+    util::Status status = ParseTypeSpec(&node);
     if (!status.ok()) return status;
     if (!Consume(')')) return Error("expected ')'");
-    node.instance_count = 1;
-    for (auto& [key, info] : node.properties) {
-      if (info.requiredness == Requiredness::kMandatory) info.count = 1;
-    }
     schema->node_types().push_back(std::move(node));
     return util::Status::Ok();
   }

@@ -54,24 +54,15 @@ uint64_t EdgePattern::Hash() const {
   return HashIdVector(util::HashCombine(h, 0xCAFE), dst_labels);
 }
 
-std::vector<pg::PropKeyId> NodeType::Keys() const {
+std::vector<pg::PropKeyId> ElementType::Keys() const {
   std::vector<pg::PropKeyId> keys;
   keys.reserve(properties.size());
   for (const auto& [k, info] : properties) keys.push_back(k);
   return keys;
 }
 
-std::vector<pg::PropKeyId> EdgeType::Keys() const {
-  std::vector<pg::PropKeyId> keys;
-  keys.reserve(properties.size());
-  for (const auto& [k, info] : properties) keys.push_back(k);
-  return keys;
-}
-
-namespace {
-
-std::string TypeName(const pg::Vocabulary& vocab,
-                     const std::vector<pg::LabelId>& labels, size_t index) {
+std::string ElementType::Name(const pg::Vocabulary& vocab,
+                              size_t index) const {
   if (labels.empty()) return "Abstract#" + std::to_string(index);
   std::vector<std::string> names;
   names.reserve(labels.size());
@@ -85,46 +76,45 @@ std::string TypeName(const pg::Vocabulary& vocab,
   return out;
 }
 
-}  // namespace
+namespace {
 
-std::string NodeType::Name(const pg::Vocabulary& vocab, size_t index) const {
-  return TypeName(vocab, labels, index);
-}
-
-std::string EdgeType::Name(const pg::Vocabulary& vocab, size_t index) const {
-  return TypeName(vocab, labels, index);
-}
-
-std::vector<uint32_t> SchemaGraph::NodeAssignment(size_t num_nodes) const {
-  std::vector<uint32_t> assignment(num_nodes, UINT32_MAX);
-  for (uint32_t t = 0; t < node_types_.size(); ++t) {
-    for (uint64_t id : node_types_[t].instances) {
-      if (id < num_nodes) assignment[id] = t;
+template <typename TypeT>
+std::vector<uint32_t> Assignment(const std::vector<TypeT>& types,
+                                 size_t num_elements) {
+  std::vector<uint32_t> assignment(num_elements, UINT32_MAX);
+  for (uint32_t t = 0; t < types.size(); ++t) {
+    for (uint64_t id : types[t].instances) {
+      if (id < num_elements) assignment[id] = t;
     }
   }
   return assignment;
+}
+
+template <typename TypeT>
+size_t TotalLabels(const std::vector<TypeT>& types) {
+  std::set<pg::LabelId> labels;
+  for (const auto& t : types) labels.insert(t.labels.begin(), t.labels.end());
+  return labels.size();
+}
+
+}  // namespace
+
+std::vector<uint32_t> SchemaGraph::NodeAssignment(size_t num_nodes) const {
+  return Assignment(node_types_, num_nodes);
 }
 
 std::vector<uint32_t> SchemaGraph::EdgeAssignment(size_t num_edges) const {
-  std::vector<uint32_t> assignment(num_edges, UINT32_MAX);
-  for (uint32_t t = 0; t < edge_types_.size(); ++t) {
-    for (uint64_t id : edge_types_[t].instances) {
-      if (id < num_edges) assignment[id] = t;
-    }
-  }
-  return assignment;
+  return Assignment(edge_types_, num_edges);
 }
 
-size_t SchemaGraph::TotalNodeLabels() const {
-  std::set<pg::LabelId> labels;
-  for (const auto& t : node_types_) labels.insert(t.labels.begin(), t.labels.end());
-  return labels.size();
-}
+size_t SchemaGraph::TotalNodeLabels() const { return TotalLabels(node_types_); }
 
-size_t SchemaGraph::TotalEdgeLabels() const {
-  std::set<pg::LabelId> labels;
-  for (const auto& t : edge_types_) labels.insert(t.labels.begin(), t.labels.end());
-  return labels.size();
+size_t SchemaGraph::TotalEdgeLabels() const { return TotalLabels(edge_types_); }
+
+uint64_t LabelSetKey(const std::vector<pg::LabelId>& labels) {
+  uint64_t h = 0x2545F4914F6CDD1DULL;
+  for (pg::LabelId l : labels) h = util::HashCombine(h, l + 1);
+  return h;
 }
 
 std::vector<uint32_t> UnionSorted(const std::vector<uint32_t>& a,

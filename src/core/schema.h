@@ -64,14 +64,15 @@ struct PropertyInfo {
   Requiredness requiredness = Requiredness::kOptional;
 };
 
-/// A discovered node type (Def. 3.2) together with its supporting evidence:
-/// instance ids, per-property counts, and the distinct patterns it covers.
-struct NodeType {
+/// The fields node and edge types share (Defs. 3.2–3.3): a label set, a
+/// property map, and the supporting evidence (instance ids, per-property
+/// counts, and the distinct patterns covered).
+struct ElementType {
   std::vector<pg::LabelId> labels;  ///< Sorted union; empty => ABSTRACT.
   std::map<pg::PropKeyId, PropertyInfo> properties;
-  std::vector<uint64_t> instances;  ///< Node ids assigned to this type.
+  std::vector<uint64_t> instances;  ///< Node or edge ids of this type.
   size_t instance_count = 0;
-  std::set<uint64_t> pattern_hashes;  ///< Distinct NodePattern hashes seen.
+  std::set<uint64_t> pattern_hashes;  ///< Distinct pattern hashes seen.
 
   bool is_abstract() const { return labels.empty(); }
 
@@ -82,22 +83,16 @@ struct NodeType {
   std::string Name(const pg::Vocabulary& vocab, size_t index) const;
 };
 
+/// A discovered node type (Def. 3.2).
+struct NodeType : ElementType {};
+
 /// A discovered edge type (Def. 3.3). Endpoints rho_e accumulate as pairs of
 /// source/target *node-type label-set tokens* so connectivity survives
 /// merging without pointer chasing.
-struct EdgeType {
-  std::vector<pg::LabelId> labels;
-  std::map<pg::PropKeyId, PropertyInfo> properties;
-  std::vector<uint64_t> instances;  ///< Edge ids assigned to this type.
-  size_t instance_count = 0;
-  std::set<uint64_t> pattern_hashes;
+struct EdgeType : ElementType {
   /// Distinct (src token, dst token) endpoint pairs (pg::kNoToken allowed).
   std::set<std::pair<uint32_t, uint32_t>> endpoints;
   Cardinality cardinality;
-
-  bool is_abstract() const { return labels.empty(); }
-  std::vector<pg::PropKeyId> Keys() const;
-  std::string Name(const pg::Vocabulary& vocab, size_t index) const;
 };
 
 /// The schema graph of Def. 3.4: node types, edge types, and connectivity.
@@ -127,6 +122,10 @@ class SchemaGraph {
   std::vector<NodeType> node_types_;
   std::vector<EdgeType> edge_types_;
 };
+
+/// A hash of a sorted label set: the key that indexes types by exact label
+/// set (Algorithm 2's phase 1 and the validator).
+uint64_t LabelSetKey(const std::vector<pg::LabelId>& labels);
 
 /// Union-merge of label vectors (sorted inputs -> sorted output).
 std::vector<uint32_t> UnionSorted(const std::vector<uint32_t>& a,

@@ -23,41 +23,47 @@ std::string SanitizeIdentifier(const std::string& name) {
   return out;
 }
 
-std::string LabelSpec(const pg::Vocabulary& vocab,
-                      const std::vector<pg::LabelId>& labels) {
-  std::string out;
-  for (pg::LabelId l : labels) {
-    out += " & ";
-    out += vocab.LabelName(l);
+// One type's PG-Schema spec, shared by node and edge types:
+// "[ABSTRACT ]<name><suffix>[ : <label> & ...][ {<properties>}]".
+void WriteTypeSpec(std::ostream& out, const pg::Vocabulary& vocab,
+                   const ElementType& t, size_t index, const char* suffix,
+                   SchemaMode mode) {
+  if (t.is_abstract()) out << "ABSTRACT ";
+  out << SanitizeIdentifier(t.Name(vocab, index)) << suffix;
+  for (size_t i = 0; i < t.labels.size(); ++i) {
+    out << (i == 0 ? " : " : " & ") << vocab.LabelName(t.labels[i]);
   }
-  if (!out.empty()) out = out.substr(3);
-  return out;
-}
-
-template <typename TypeT>
-std::string PropertyBlock(const pg::Vocabulary& vocab, const TypeT& type,
-                          SchemaMode mode) {
-  if (type.properties.empty()) return "";
-  std::string out = " {";
+  if (t.properties.empty()) return;
+  out << " {";
   bool first = true;
-  for (const auto& [key, info] : type.properties) {
-    if (!first) out += ", ";
+  for (const auto& [key, info] : t.properties) {
+    if (!first) out << ", ";
     first = false;
     if (mode == SchemaMode::kStrict &&
         info.requiredness == Requiredness::kOptional) {
-      out += "OPTIONAL ";
+      out << "OPTIONAL ";
     }
-    out += vocab.KeyName(key);
+    out << vocab.KeyName(key);
     if (mode == SchemaMode::kStrict) {
-      out.push_back(' ');
-      out += pg::DataTypeName(info.data_type == pg::DataType::kNull
+      out << ' '
+          << pg::DataTypeName(info.data_type == pg::DataType::kNull
                                   ? pg::DataType::kString
                                   : info.data_type);
     }
   }
-  if (mode == SchemaMode::kLoose) out += ", OPEN";
-  out += "}";
-  return out;
+  if (mode == SchemaMode::kLoose) out << ", OPEN";
+  out << "}";
+}
+
+// The property list of one DescribeSchema line, ending the line.
+void WriteDescribedProperties(std::ostream& out, const pg::Vocabulary& vocab,
+                              const ElementType& t) {
+  for (const auto& [key, info] : t.properties) {
+    out << ' ' << vocab.KeyName(key) << ':'
+        << pg::DataTypeName(info.data_type)
+        << (info.requiredness == Requiredness::kMandatory ? "!" : "?");
+  }
+  out << '\n';
 }
 
 }  // namespace
@@ -69,19 +75,16 @@ std::string SerializePgSchema(const SchemaGraph& schema,
       << (mode == SchemaMode::kStrict ? "STRICT" : "LOOSE") << " {\n";
   bool first = true;
   for (size_t i = 0; i < schema.node_types().size(); ++i) {
-    const NodeType& t = schema.node_types()[i];
     if (!first) out << ",\n";
     first = false;
-    std::string type_name = SanitizeIdentifier(t.Name(vocab, i)) + "Type";
-    out << "  (" << (t.is_abstract() ? "ABSTRACT " : "") << type_name;
-    if (!t.labels.empty()) out << " : " << LabelSpec(vocab, t.labels);
-    out << PropertyBlock(vocab, t, mode) << ")";
+    out << "  (";
+    WriteTypeSpec(out, vocab, schema.node_types()[i], i, "Type", mode);
+    out << ")";
   }
   for (size_t i = 0; i < schema.edge_types().size(); ++i) {
     const EdgeType& t = schema.edge_types()[i];
     if (!first) out << ",\n";
     first = false;
-    std::string type_name = SanitizeIdentifier(t.Name(vocab, i)) + "EdgeType";
     // Endpoint spec: the union of source/target tokens observed.
     auto token_list = [&](bool src_side) {
       std::string spec;
@@ -100,11 +103,8 @@ std::string SerializePgSchema(const SchemaGraph& schema,
       return spec;
     };
     out << "  (:" << token_list(true) << ")-[";
-    if (t.is_abstract()) out << "ABSTRACT ";
-    out << type_name;
-    if (!t.labels.empty()) out << " : " << LabelSpec(vocab, t.labels);
-    out << PropertyBlock(vocab, t, mode) << "]->(:" << token_list(false)
-        << ")";
+    WriteTypeSpec(out, vocab, t, i, "EdgeType", mode);
+    out << "]->(:" << token_list(false) << ")";
     if (mode == SchemaMode::kStrict &&
         t.cardinality.kind != CardinalityKind::kUnknown) {
       out << " /* " << CardinalityKindName(t.cardinality.kind) << " */";
@@ -183,23 +183,13 @@ std::string DescribeSchema(const SchemaGraph& schema,
     const NodeType& t = schema.node_types()[i];
     out << "  node " << t.Name(vocab, i) << " [" << t.instance_count
         << " instances, " << t.pattern_hashes.size() << " patterns]";
-    for (const auto& [key, info] : t.properties) {
-      out << ' ' << vocab.KeyName(key) << ':'
-          << pg::DataTypeName(info.data_type)
-          << (info.requiredness == Requiredness::kMandatory ? "!" : "?");
-    }
-    out << '\n';
+    WriteDescribedProperties(out, vocab, t);
   }
   for (size_t i = 0; i < schema.edge_types().size(); ++i) {
     const EdgeType& t = schema.edge_types()[i];
     out << "  edge " << t.Name(vocab, i) << " [" << t.instance_count
         << " instances, " << CardinalityKindName(t.cardinality.kind) << "]";
-    for (const auto& [key, info] : t.properties) {
-      out << ' ' << vocab.KeyName(key) << ':'
-          << pg::DataTypeName(info.data_type)
-          << (info.requiredness == Requiredness::kMandatory ? "!" : "?");
-    }
-    out << '\n';
+    WriteDescribedProperties(out, vocab, t);
   }
   return out.str();
 }
@@ -255,6 +245,26 @@ bool ReadProperties(ByteReader* in,
   return in->ok();
 }
 
+// The fields of ElementType, in the order node and edge records share.
+void PutTypeFields(std::string* out, const ElementType& t) {
+  PutU32Vector(out, t.labels);
+  PutProperties(out, t.properties);
+  PutU64Vector(out, t.instances);
+  PutU64(out, t.instance_count);
+  PutU64Set(out, t.pattern_hashes);
+}
+
+// Each field stops the parse immediately on a bad length prefix, so a
+// corrupt early field can never let a later untrusted count through.
+bool ReadTypeFields(ByteReader* in, ElementType* t) {
+  if (!in->ReadU32Vector(&t->labels) || !ReadProperties(in, &t->properties) ||
+      !in->ReadU64Vector(&t->instances)) {
+    return false;
+  }
+  t->instance_count = in->ReadU64();
+  return in->ReadU64Set(&t->pattern_hashes);
+}
+
 }  // namespace
 
 std::string SerializeSchemaBinary(const SchemaGraph& schema) {
@@ -263,19 +273,9 @@ std::string SerializeSchemaBinary(const SchemaGraph& schema) {
   PutU32(&out, kBinaryVersion);
   PutU64(&out, schema.num_node_types());
   PutU64(&out, schema.num_edge_types());
-  for (const NodeType& t : schema.node_types()) {
-    PutU32Vector(&out, t.labels);
-    PutProperties(&out, t.properties);
-    PutU64Vector(&out, t.instances);
-    PutU64(&out, t.instance_count);
-    PutU64Set(&out, t.pattern_hashes);
-  }
+  for (const NodeType& t : schema.node_types()) PutTypeFields(&out, t);
   for (const EdgeType& t : schema.edge_types()) {
-    PutU32Vector(&out, t.labels);
-    PutProperties(&out, t.properties);
-    PutU64Vector(&out, t.instances);
-    PutU64(&out, t.instance_count);
-    PutU64Set(&out, t.pattern_hashes);
+    PutTypeFields(&out, t);
     PutU64(&out, t.endpoints.size());
     for (const auto& [src, dst] : t.endpoints) {
       PutU32(&out, src);
@@ -306,24 +306,12 @@ util::StatusOr<SchemaGraph> ParseSchemaBinary(const std::string& bytes) {
   SchemaGraph schema;
   for (uint64_t i = 0; i < num_node_types && in.ok(); ++i) {
     NodeType t;
-    if (!in.ReadU32Vector(&t.labels) || !ReadProperties(&in, &t.properties) ||
-        !in.ReadU64Vector(&t.instances)) {
-      break;
-    }
-    t.instance_count = in.ReadU64();
-    if (!in.ReadU64Set(&t.pattern_hashes) || !in.ok()) break;
+    if (!ReadTypeFields(&in, &t)) break;
     schema.node_types().push_back(std::move(t));
   }
   for (uint64_t i = 0; i < num_edge_types && in.ok(); ++i) {
     EdgeType t;
-    // Each field stops the parse immediately on a bad length prefix, so a
-    // corrupt early field can never let a later untrusted count through.
-    if (!in.ReadU32Vector(&t.labels) || !ReadProperties(&in, &t.properties) ||
-        !in.ReadU64Vector(&t.instances)) {
-      break;
-    }
-    t.instance_count = in.ReadU64();
-    if (!in.ReadU64Set(&t.pattern_hashes)) break;
+    if (!ReadTypeFields(&in, &t)) break;
     uint64_t num_endpoints = in.ReadU64();
     if (!in.SaneCount(num_endpoints, 8)) break;
     for (uint64_t e = 0; e < num_endpoints && in.ok(); ++e) {

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <type_traits>
 #include <unordered_map>
 
-#include "util/rng.h"
 #include "util/status.h"
 #include "util/union_find.h"
 
@@ -12,29 +12,40 @@ namespace pghive::core {
 
 namespace {
 
-uint64_t LabelSetKey(const std::vector<pg::LabelId>& labels) {
-  uint64_t h = 0x2545F4914F6CDD1DULL;
-  for (pg::LabelId l : labels) h = util::HashCombine(h, l + 1);
-  return h;
+template <typename TypeT>
+constexpr bool kIsEdge = std::is_same_v<TypeT, EdgeType>;
+
+template <typename T>
+void SortUnique(std::vector<T>* v) {
+  std::sort(v->begin(), v->end());
+  v->erase(std::unique(v->begin(), v->end()), v->end());
 }
 
 // The Jaccard universe for unlabeled-cluster merging. Nodes compare property
 // keys only (§4.3); edges also mix in endpoint tokens so property-less edge
 // types with different endpoints do not collapse.
-std::vector<uint32_t> NodeJaccardSet(const CandidateType& c) { return c.keys; }
-
-std::vector<uint32_t> EdgeJaccardSet(const CandidateType& c) {
-  std::vector<uint32_t> set = c.keys;
+template <typename Endpoints>
+std::vector<uint32_t> JaccardSet(std::vector<uint32_t> keys,
+                                 const Endpoints& endpoints) {
+  if (endpoints.empty()) return keys;
   // Offset endpoint tokens into a disjoint id range.
   constexpr uint32_t kSrcBase = 0x40000000u;
   constexpr uint32_t kDstBase = 0x80000000u;
-  for (const auto& [src, dst] : c.endpoints) {
-    if (src != pg::kNoToken) set.push_back(kSrcBase + src);
-    if (dst != pg::kNoToken) set.push_back(kDstBase + dst);
+  for (const auto& [src, dst] : endpoints) {
+    if (src != pg::kNoToken) keys.push_back(kSrcBase + src);
+    if (dst != pg::kNoToken) keys.push_back(kDstBase + dst);
   }
-  std::sort(set.begin(), set.end());
-  set.erase(std::unique(set.begin(), set.end()), set.end());
-  return set;
+  SortUnique(&keys);
+  return keys;
+}
+
+template <typename TypeT>
+std::vector<uint32_t> TypeJaccardSet(const TypeT& type) {
+  if constexpr (kIsEdge<TypeT>) {
+    return JaccardSet(type.Keys(), type.endpoints);
+  } else {
+    return type.Keys();
+  }
 }
 
 // Merges candidate `from` into candidate `into` by set union (Lemma 1/2).
@@ -72,8 +83,9 @@ void MergeCandidate(const CandidateType& from, CandidateType* into) {
                          from.endpoints.end());
 }
 
-// Applies a candidate's evidence to a NodeType (union semantics).
-void ApplyToNodeType(const CandidateType& c, NodeType* type) {
+// Applies a candidate's evidence to a type (union semantics).
+template <typename TypeT>
+void ApplyToType(const CandidateType& c, TypeT* type) {
   type->labels = UnionSorted(type->labels, c.labels);
   for (const auto& [key, count] : c.key_counts) {
     type->properties[key].count += count;
@@ -84,50 +96,36 @@ void ApplyToNodeType(const CandidateType& c, NodeType* type) {
   type->instances.insert(type->instances.end(), c.instances.begin(),
                          c.instances.end());
   type->instance_count += c.instance_count;
-  for (uint64_t h : c.pattern_hashes) type->pattern_hashes.insert(h);
-}
-
-void ApplyToEdgeType(const CandidateType& c, EdgeType* type) {
-  type->labels = UnionSorted(type->labels, c.labels);
-  for (const auto& [key, count] : c.key_counts) {
-    type->properties[key].count += count;
+  type->pattern_hashes.insert(c.pattern_hashes.begin(), c.pattern_hashes.end());
+  if constexpr (kIsEdge<TypeT>) {
+    type->endpoints.insert(c.endpoints.begin(), c.endpoints.end());
   }
-  for (pg::PropKeyId key : c.keys) type->properties[key];
-  type->instances.insert(type->instances.end(), c.instances.begin(),
-                         c.instances.end());
-  type->instance_count += c.instance_count;
-  for (uint64_t h : c.pattern_hashes) type->pattern_hashes.insert(h);
-  for (const auto& ep : c.endpoints) type->endpoints.insert(ep);
 }
 
+// The index of the labeled type (or, with `labeled` false, the ABSTRACT
+// type) whose Jaccard with `c_set` is highest and >= theta; -1 if none is.
 template <typename TypeT>
-std::vector<uint32_t> TypeJaccardSet(const TypeT& type);
-
-template <>
-std::vector<uint32_t> TypeJaccardSet<NodeType>(const NodeType& type) {
-  return type.Keys();
-}
-
-template <>
-std::vector<uint32_t> TypeJaccardSet<EdgeType>(const EdgeType& type) {
-  std::vector<uint32_t> set = type.Keys();
-  constexpr uint32_t kSrcBase = 0x40000000u;
-  constexpr uint32_t kDstBase = 0x80000000u;
-  for (const auto& [src, dst] : type.endpoints) {
-    if (src != pg::kNoToken) set.push_back(kSrcBase + src);
-    if (dst != pg::kNoToken) set.push_back(kDstBase + dst);
+int BestMatch(const std::vector<TypeT>& types,
+              const std::vector<uint32_t>& c_set, bool labeled,
+              double theta) {
+  double best = -1.0;
+  int best_type = -1;
+  for (uint32_t t = 0; t < types.size(); ++t) {
+    if (types[t].is_abstract() == labeled) continue;
+    double j = JaccardSorted(c_set, TypeJaccardSet(types[t]));
+    if (j >= theta && j > best) {
+      best = j;
+      best_type = static_cast<int>(t);
+    }
   }
-  std::sort(set.begin(), set.end());
-  set.erase(std::unique(set.begin(), set.end()), set.end());
-  return set;
+  return best_type;
 }
 
-// Shared skeleton of Algorithm 2 for node and edge types.
-template <typename TypeT, typename ApplyFn, typename CandSetFn>
-void ExtractTypesImpl(std::vector<CandidateType> candidates,
-                      const ExtractionOptions& options,
-                      std::vector<TypeT>* types, ApplyFn apply,
-                      CandSetFn cand_set) {
+// Algorithm 2 for node or edge types.
+template <typename TypeT>
+void ExtractTypes(std::vector<CandidateType> candidates,
+                  const ExtractionOptions& options,
+                  std::vector<TypeT>* types) {
   // Index existing types by exact label-set key.
   std::unordered_map<uint64_t, uint32_t> by_label_set;
   for (uint32_t t = 0; t < types->size(); ++t) {
@@ -145,67 +143,47 @@ void ExtractTypesImpl(std::vector<CandidateType> candidates,
     uint64_t key = LabelSetKey(c.labels);
     auto it = by_label_set.find(key);
     if (it != by_label_set.end()) {
-      apply(c, &(*types)[it->second]);
+      ApplyToType(c, &(*types)[it->second]);
     } else {
       TypeT fresh;
-      apply(c, &fresh);
+      ApplyToType(c, &fresh);
       types->push_back(std::move(fresh));
       by_label_set[key] = static_cast<uint32_t>(types->size() - 1);
     }
   }
 
+  // Merges each candidate into its best match among the labeled (or the
+  // ABSTRACT) types and returns the candidates that matched none.
+  auto merge_into_best = [&](std::vector<CandidateType> pending,
+                             bool labeled) {
+    std::vector<CandidateType> left;
+    for (auto& c : pending) {
+      int t = BestMatch(*types, JaccardSet(c.keys, c.endpoints), labeled,
+                        options.jaccard_threshold);
+      if (t >= 0) {
+        ApplyToType(c, &(*types)[t]);
+      } else {
+        left.push_back(std::move(c));
+      }
+    }
+    return left;
+  };
   // Phase 2: unlabeled candidates merge into the best labeled type with
-  // Jaccard >= theta (Alg. 2 l.8-11).
-  std::vector<CandidateType> still_unlabeled;
-  for (auto& c : unlabeled) {
-    auto c_set = cand_set(c);
-    double best = -1.0;
-    int best_type = -1;
-    for (uint32_t t = 0; t < types->size(); ++t) {
-      const TypeT& type = (*types)[t];
-      if (type.labels.empty()) continue;
-      double j = JaccardSorted(c_set, TypeJaccardSet<TypeT>(type));
-      if (j >= options.jaccard_threshold && j > best) {
-        best = j;
-        best_type = static_cast<int>(t);
-      }
-    }
-    if (best_type >= 0) {
-      apply(c, &(*types)[best_type]);
-    } else {
-      still_unlabeled.push_back(std::move(c));
-    }
-  }
-
-  // Phase 3a: try existing ABSTRACT types (incremental mode keeps abstract
-  // types from previous batches alive).
-  std::vector<CandidateType> fresh_unlabeled;
-  for (auto& c : still_unlabeled) {
-    auto c_set = cand_set(c);
-    double best = -1.0;
-    int best_type = -1;
-    for (uint32_t t = 0; t < types->size(); ++t) {
-      const TypeT& type = (*types)[t];
-      if (!type.labels.empty()) continue;
-      double j = JaccardSorted(c_set, TypeJaccardSet<TypeT>(type));
-      if (j >= options.jaccard_threshold && j > best) {
-        best = j;
-        best_type = static_cast<int>(t);
-      }
-    }
-    if (best_type >= 0) {
-      apply(c, &(*types)[best_type]);
-    } else {
-      fresh_unlabeled.push_back(std::move(c));
-    }
-  }
+  // Jaccard >= theta (Alg. 2 l.8-11). Phase 3a: then into existing ABSTRACT
+  // types (incremental mode keeps abstract types from previous batches
+  // alive).
+  std::vector<CandidateType> fresh_unlabeled = merge_into_best(
+      merge_into_best(std::move(unlabeled), /*labeled=*/true),
+      /*labeled=*/false);
 
   // Phase 3b: pairwise merging among the remaining unlabeled clusters
   // (Alg. 2 l.12-14) via union-find, then append as ABSTRACT types.
   if (!fresh_unlabeled.empty()) {
     std::vector<std::vector<uint32_t>> sets;
     sets.reserve(fresh_unlabeled.size());
-    for (const auto& c : fresh_unlabeled) sets.push_back(cand_set(c));
+    for (const auto& c : fresh_unlabeled) {
+      sets.push_back(JaccardSet(c.keys, c.endpoints));
+    }
     util::UnionFind uf(fresh_unlabeled.size());
     for (size_t i = 0; i < fresh_unlabeled.size(); ++i) {
       for (size_t j = i + 1; j < fresh_unlabeled.size(); ++j) {
@@ -227,10 +205,71 @@ void ExtractTypesImpl(std::vector<CandidateType> candidates,
     }
     for (auto& [root, c] : groups) {
       TypeT fresh;
-      apply(c, &fresh);
+      ApplyToType(c, &fresh);
       types->push_back(std::move(fresh));
     }
   }
+}
+
+// The candidate builder for nodes and edges: cluster i's representative is
+// (union of labels, union of keys) over its members, with per-key presence
+// counts for the later constraint inference. `pattern_hash(i, element, keys,
+// &candidate)` adds member i's kind-specific evidence and returns the hash of
+// its pattern.
+template <typename ElementFn, typename PatternHashFn>
+std::vector<CandidateType> BuildCandidates(const std::vector<uint64_t>& ids,
+                                           const lsh::ClusterSet& clusters,
+                                           ElementFn element,
+                                           PatternHashFn pattern_hash) {
+  PGHIVE_CHECK(clusters.num_items() == ids.size());
+  std::vector<CandidateType> candidates(clusters.num_clusters());
+  std::vector<std::map<pg::PropKeyId, size_t>> counts(clusters.num_clusters());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    uint32_t c = clusters.cluster_of(i);
+    const auto& e = element(ids[i]);
+    CandidateType& cand = candidates[c];
+    cand.labels = UnionSorted(cand.labels, e.labels);
+    auto keys = e.properties.Keys();
+    cand.keys = UnionSorted(cand.keys, keys);
+    for (pg::PropKeyId k : keys) ++counts[c][k];
+    cand.instances.push_back(ids[i]);
+    ++cand.instance_count;
+    cand.pattern_hashes.push_back(pattern_hash(i, e, keys, &cand));
+  }
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    candidates[c].key_counts.assign(counts[c].begin(), counts[c].end());
+    SortUnique(&candidates[c].pattern_hashes);
+    SortUnique(&candidates[c].endpoints);
+  }
+  return candidates;
+}
+
+template <typename TypeT>
+CandidateType TypeToCandidate(const TypeT& type) {
+  CandidateType c;
+  c.labels = type.labels;
+  c.keys = type.Keys();
+  c.instances = type.instances;
+  c.instance_count = type.instance_count;
+  for (const auto& [key, info] : type.properties) {
+    c.key_counts.emplace_back(key, info.count);
+  }
+  c.pattern_hashes.assign(type.pattern_hashes.begin(),
+                          type.pattern_hashes.end());
+  if constexpr (kIsEdge<TypeT>) {
+    c.endpoints.assign(type.endpoints.begin(), type.endpoints.end());
+  }
+  return c;
+}
+
+// Replays `from` as candidates into `into` (MergeSchemas, one kind).
+template <typename TypeT>
+void MergeTypes(const std::vector<TypeT>& from,
+                const ExtractionOptions& options, std::vector<TypeT>* into) {
+  std::vector<CandidateType> candidates;
+  candidates.reserve(from.size());
+  for (const TypeT& t : from) candidates.push_back(TypeToCandidate(t));
+  ExtractTypes(std::move(candidates), options, into);
 }
 
 }  // namespace
@@ -238,30 +277,11 @@ void ExtractTypesImpl(std::vector<CandidateType> candidates,
 std::vector<CandidateType> BuildNodeCandidates(
     const pg::PropertyGraph& graph, const pg::GraphBatch& batch,
     const lsh::ClusterSet& clusters) {
-  PGHIVE_CHECK(clusters.num_items() == batch.node_ids.size());
-  std::vector<CandidateType> candidates(clusters.num_clusters());
-  std::vector<std::map<pg::PropKeyId, size_t>> counts(clusters.num_clusters());
-  for (size_t i = 0; i < batch.node_ids.size(); ++i) {
-    uint32_t c = clusters.cluster_of(i);
-    const pg::Node& n = graph.node(batch.node_ids[i]);
-    CandidateType& cand = candidates[c];
-    cand.labels = UnionSorted(cand.labels, n.labels);
-    auto keys = n.properties.Keys();
-    cand.keys = UnionSorted(cand.keys, keys);
-    for (pg::PropKeyId k : keys) ++counts[c][k];
-    cand.instances.push_back(batch.node_ids[i]);
-    ++cand.instance_count;
-    NodePattern pattern{n.labels, keys};
-    cand.pattern_hashes.push_back(pattern.Hash());
-  }
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    auto& kc = candidates[c].key_counts;
-    kc.assign(counts[c].begin(), counts[c].end());
-    auto& ph = candidates[c].pattern_hashes;
-    std::sort(ph.begin(), ph.end());
-    ph.erase(std::unique(ph.begin(), ph.end()), ph.end());
-  }
-  return candidates;
+  return BuildCandidates(
+      batch.node_ids, clusters,
+      [&](uint64_t id) -> const pg::Node& { return graph.node(id); },
+      [](size_t, const pg::Node& n, const std::vector<pg::PropKeyId>& keys,
+         CandidateType*) { return NodePattern{n.labels, keys}.Hash(); });
 }
 
 std::vector<CandidateType> BuildEdgeCandidates(
@@ -269,99 +289,42 @@ std::vector<CandidateType> BuildEdgeCandidates(
     const lsh::ClusterSet& clusters,
     const std::vector<std::pair<pg::LabelSetToken, pg::LabelSetToken>>&
         endpoint_tokens) {
-  PGHIVE_CHECK(clusters.num_items() == batch.edge_ids.size());
   PGHIVE_CHECK(endpoint_tokens.size() == batch.edge_ids.size());
-  std::vector<CandidateType> candidates(clusters.num_clusters());
-  std::vector<std::map<pg::PropKeyId, size_t>> counts(clusters.num_clusters());
-  for (size_t i = 0; i < batch.edge_ids.size(); ++i) {
-    uint32_t c = clusters.cluster_of(i);
-    const pg::Edge& e = graph.edge(batch.edge_ids[i]);
-    CandidateType& cand = candidates[c];
-    cand.labels = UnionSorted(cand.labels, e.labels);
-    auto keys = e.properties.Keys();
-    cand.keys = UnionSorted(cand.keys, keys);
-    for (pg::PropKeyId k : keys) ++counts[c][k];
-    cand.instances.push_back(batch.edge_ids[i]);
-    ++cand.instance_count;
-    const auto& src_labels = graph.node(e.src).labels;
-    const auto& dst_labels = graph.node(e.dst).labels;
-    cand.endpoints.push_back(endpoint_tokens[i]);
-    EdgePattern pattern{e.labels, keys, src_labels, dst_labels};
-    cand.pattern_hashes.push_back(pattern.Hash());
-  }
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    auto& kc = candidates[c].key_counts;
-    kc.assign(counts[c].begin(), counts[c].end());
-    auto& ph = candidates[c].pattern_hashes;
-    std::sort(ph.begin(), ph.end());
-    ph.erase(std::unique(ph.begin(), ph.end()), ph.end());
-    auto& ep = candidates[c].endpoints;
-    std::sort(ep.begin(), ep.end());
-    ep.erase(std::unique(ep.begin(), ep.end()), ep.end());
-  }
-  return candidates;
+  return BuildCandidates(
+      batch.edge_ids, clusters,
+      [&](uint64_t id) -> const pg::Edge& { return graph.edge(id); },
+      [&](size_t i, const pg::Edge& e, const std::vector<pg::PropKeyId>& keys,
+          CandidateType* cand) {
+        cand->endpoints.push_back(endpoint_tokens[i]);
+        return EdgePattern{e.labels, keys, graph.node(e.src).labels,
+                           graph.node(e.dst).labels}
+            .Hash();
+      });
 }
 
 void ExtractNodeTypes(std::vector<CandidateType> candidates,
                       const ExtractionOptions& options, SchemaGraph* schema) {
-  ExtractTypesImpl<NodeType>(
-      std::move(candidates), options, &schema->node_types(),
-      [](const CandidateType& c, NodeType* t) { ApplyToNodeType(c, t); },
-      [](const CandidateType& c) { return NodeJaccardSet(c); });
+  ExtractTypes(std::move(candidates), options, &schema->node_types());
 }
 
 void ExtractEdgeTypes(std::vector<CandidateType> candidates,
                       const ExtractionOptions& options, SchemaGraph* schema) {
-  ExtractTypesImpl<EdgeType>(
-      std::move(candidates), options, &schema->edge_types(),
-      [](const CandidateType& c, EdgeType* t) { ApplyToEdgeType(c, t); },
-      [](const CandidateType& c) { return EdgeJaccardSet(c); });
+  ExtractTypes(std::move(candidates), options, &schema->edge_types());
 }
 
 CandidateType NodeTypeToCandidate(const NodeType& type) {
-  CandidateType c;
-  c.labels = type.labels;
-  c.keys = type.Keys();
-  c.instances = type.instances;
-  c.instance_count = type.instance_count;
-  for (const auto& [key, info] : type.properties) {
-    c.key_counts.emplace_back(key, info.count);
-  }
-  c.pattern_hashes.assign(type.pattern_hashes.begin(),
-                          type.pattern_hashes.end());
-  return c;
+  return TypeToCandidate(type);
 }
 
 CandidateType EdgeTypeToCandidate(const EdgeType& type) {
-  CandidateType c;
-  c.labels = type.labels;
-  c.keys = type.Keys();
-  c.instances = type.instances;
-  c.instance_count = type.instance_count;
-  for (const auto& [key, info] : type.properties) {
-    c.key_counts.emplace_back(key, info.count);
-  }
-  c.pattern_hashes.assign(type.pattern_hashes.begin(),
-                          type.pattern_hashes.end());
-  c.endpoints.assign(type.endpoints.begin(), type.endpoints.end());
-  return c;
+  return TypeToCandidate(type);
 }
 
 SchemaGraph MergeSchemas(const SchemaGraph& a, const SchemaGraph& b,
                          const ExtractionOptions& options) {
   SchemaGraph merged = a;
-  std::vector<CandidateType> node_cands;
-  node_cands.reserve(b.node_types().size());
-  for (const auto& t : b.node_types()) {
-    node_cands.push_back(NodeTypeToCandidate(t));
-  }
-  ExtractNodeTypes(std::move(node_cands), options, &merged);
-  std::vector<CandidateType> edge_cands;
-  edge_cands.reserve(b.edge_types().size());
-  for (const auto& t : b.edge_types()) {
-    edge_cands.push_back(EdgeTypeToCandidate(t));
-  }
-  ExtractEdgeTypes(std::move(edge_cands), options, &merged);
+  MergeTypes(b.node_types(), options, &merged.node_types());
+  MergeTypes(b.edge_types(), options, &merged.edge_types());
   return merged;
 }
 

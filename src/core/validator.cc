@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "util/rng.h"
-
 namespace pghive::core {
 
 const char* ViolationKindName(ViolationKind kind) {
@@ -57,12 +55,6 @@ std::string ValidationReport::Summary() const {
 
 namespace {
 
-uint64_t LabelSetKey(const std::vector<pg::LabelId>& labels) {
-  uint64_t h = 0x2545F4914F6CDD1DULL;
-  for (pg::LabelId l : labels) h = util::HashCombine(h, l + 1);
-  return h;
-}
-
 // Whether a value is compatible with a declared type: the value's inferred
 // type joined with the declared type must not generalize past it.
 bool ValueCompatible(const pg::Value& value, pg::DataType declared) {
@@ -73,6 +65,65 @@ bool ValueCompatible(const pg::Value& value, pg::DataType declared) {
   if (observed == pg::DataType::kNull) return true;
   return pg::JoinDataTypes(observed, declared) == declared;
 }
+
+// One kind's types, indexed for matching: by exact label set, plus the
+// labeled and the ABSTRACT types in schema order.
+template <typename TypeT>
+class TypeIndex {
+ public:
+  explicit TypeIndex(const std::vector<TypeT>& types) {
+    for (const TypeT& t : types) {
+      if (t.is_abstract()) {
+        abstract_.push_back(&t);
+      } else {
+        by_labels_[LabelSetKey(t.labels)] = &t;
+        labeled_.push_back(&t);
+      }
+    }
+  }
+
+  // The types a labeled element may conform to: the one with its exact label
+  // set first, then, in LOOSE mode, every other type whose label set is a
+  // superset of the element's (union-labeled types emerge when the LSH pass
+  // groups structurally identical elements of several labels, §4.3). None
+  // for an unlabeled element, which can only match an ABSTRACT type.
+  std::vector<const TypeT*> Candidates(const std::vector<pg::LabelId>& labels,
+                                       bool strict) const {
+    std::vector<const TypeT*> candidates;
+    if (labels.empty()) return candidates;
+    auto it = by_labels_.find(LabelSetKey(labels));
+    if (it != by_labels_.end()) candidates.push_back(it->second);
+    if (strict) return candidates;
+    const TypeT* exact = candidates.empty() ? nullptr : candidates[0];
+    for (const TypeT* t : labeled_) {
+      if (t != exact && std::includes(t->labels.begin(), t->labels.end(),
+                                      labels.begin(), labels.end())) {
+        candidates.push_back(t);
+      }
+    }
+    return candidates;
+  }
+
+  // Whether an ABSTRACT type declares every key an unlabeled element carries.
+  bool MatchesAbstract(const pg::PropertyMap& props) const {
+    for (const TypeT* t : abstract_) {
+      bool covered = true;
+      for (const auto& [key, value] : props.entries()) {
+        if (!t->properties.count(key)) {
+          covered = false;
+          break;
+        }
+      }
+      if (covered) return true;
+    }
+    return false;
+  }
+
+ private:
+  std::unordered_map<uint64_t, const TypeT*> by_labels_;
+  std::vector<const TypeT*> labeled_;
+  std::vector<const TypeT*> abstract_;
+};
 
 }  // namespace
 
@@ -96,36 +147,8 @@ ValidationReport SchemaValidator::Validate(
     report.violations.push_back({kind, is_edge, id, std::move(detail)});
   };
 
-  // Index types by exact label set; collect abstract and labeled types
-  // separately. LOOSE matching falls back to any type whose label set is a
-  // superset of the element's (union-labeled types emerge when the LSH pass
-  // groups structurally identical elements of several labels, §4.3).
-  std::unordered_map<uint64_t, const NodeType*> node_by_labels;
-  std::vector<const NodeType*> labeled_node_types;
-  std::vector<const NodeType*> abstract_node_types;
-  for (const NodeType& t : schema_->node_types()) {
-    if (t.is_abstract()) {
-      abstract_node_types.push_back(&t);
-    } else {
-      node_by_labels[LabelSetKey(t.labels)] = &t;
-      labeled_node_types.push_back(&t);
-    }
-  }
-  std::unordered_map<uint64_t, const EdgeType*> edge_by_labels;
-  std::vector<const EdgeType*> labeled_edge_types;
-  std::vector<const EdgeType*> abstract_edge_types;
-  for (const EdgeType& t : schema_->edge_types()) {
-    if (t.is_abstract()) {
-      abstract_edge_types.push_back(&t);
-    } else {
-      edge_by_labels[LabelSetKey(t.labels)] = &t;
-      labeled_edge_types.push_back(&t);
-    }
-  }
-  auto is_label_subset = [](const std::vector<pg::LabelId>& sub,
-                            const std::vector<pg::LabelId>& super) {
-    return std::includes(super.begin(), super.end(), sub.begin(), sub.end());
-  };
+  const TypeIndex<NodeType> node_index(schema_->node_types());
+  const TypeIndex<EdgeType> edge_index(schema_->edge_types());
 
   // Property checks for a candidate type, collected into `out` so callers
   // can compare candidates and keep the cleanest match.
@@ -177,56 +200,36 @@ ValidationReport SchemaValidator::Validate(
     }
   };
 
-  // Unlabeled elements match any abstract type covering their key set.
-  auto matches_abstract = [&](const auto& abstract_types,
-                              const pg::PropertyMap& props) {
-    for (const auto* t : abstract_types) {
-      bool covered = true;
-      for (const auto& [key, value] : props.entries()) {
-        if (!t->properties.count(key)) {
-          covered = false;
-          break;
-        }
+  // Matches one element against its kind's types and reports what does not
+  // conform; returns the candidate types (see TypeIndex::Candidates). An
+  // unlabeled element passes LOOSE mode; in STRICT mode it must match an
+  // ABSTRACT type.
+  auto check_element = [&](const auto& index,
+                           const std::vector<pg::LabelId>& labels,
+                           const pg::PropertyMap& props, bool is_edge,
+                           uint64_t id) {
+    const ViolationKind unknown = is_edge ? ViolationKind::kUnknownEdgeType
+                                          : ViolationKind::kUnknownNodeType;
+    auto candidates = index.Candidates(labels, strict);
+    if (labels.empty()) {
+      if (strict && !index.MatchesAbstract(props)) {
+        add(unknown, is_edge, id,
+            std::string("unlabeled ") + (is_edge ? "edge" : "node") +
+                " matches no ABSTRACT type");
       }
-      if (covered) return true;
+    } else if (candidates.empty()) {
+      add(unknown, is_edge, id, "no type with this label set");
+    } else {
+      check_candidates(candidates, props, is_edge, id);
     }
-    return false;
+    return candidates;
   };
 
   // --- Nodes ---
   for (const pg::Node& node : graph.nodes()) {
     if (full()) break;
     ++report.nodes_checked;
-    if (node.labels.empty()) {
-      if (!matches_abstract(abstract_node_types, node.properties) &&
-          node_by_labels.empty() == false) {
-        // An unlabeled node is fine in LOOSE mode if some labeled type could
-        // host it (Jaccard-mergeable); in STRICT mode it must match an
-        // ABSTRACT type.
-        if (strict) {
-          add(ViolationKind::kUnknownNodeType, false, node.id,
-              "unlabeled node matches no ABSTRACT type");
-        }
-      }
-      continue;
-    }
-    std::vector<const NodeType*> candidates;
-    auto it = node_by_labels.find(LabelSetKey(node.labels));
-    if (it != node_by_labels.end()) candidates.push_back(it->second);
-    if (!strict) {
-      for (const NodeType* t : labeled_node_types) {
-        if (t != (candidates.empty() ? nullptr : candidates[0]) &&
-            is_label_subset(node.labels, t->labels)) {
-          candidates.push_back(t);
-        }
-      }
-    }
-    if (candidates.empty()) {
-      add(ViolationKind::kUnknownNodeType, false, node.id,
-          "no type with this label set");
-      continue;
-    }
-    check_candidates(candidates, node.properties, false, node.id);
+    check_element(node_index, node.labels, node.properties, false, node.id);
   }
 
   // --- Edges ---
@@ -239,33 +242,10 @@ ValidationReport SchemaValidator::Validate(
   for (const pg::Edge& edge : graph.edges()) {
     if (full()) break;
     ++report.edges_checked;
-    const EdgeType* type = nullptr;
-    if (edge.labels.empty()) {
-      if (strict && !matches_abstract(abstract_edge_types, edge.properties)) {
-        add(ViolationKind::kUnknownEdgeType, true, edge.id,
-            "unlabeled edge matches no ABSTRACT type");
-      }
-      continue;
-    }
-    std::vector<const EdgeType*> candidates;
-    auto it = edge_by_labels.find(LabelSetKey(edge.labels));
-    if (it != edge_by_labels.end()) candidates.push_back(it->second);
-    if (!strict) {
-      for (const EdgeType* t : labeled_edge_types) {
-        if (t != (candidates.empty() ? nullptr : candidates[0]) &&
-            is_label_subset(edge.labels, t->labels)) {
-          candidates.push_back(t);
-        }
-      }
-    }
-    if (candidates.empty()) {
-      add(ViolationKind::kUnknownEdgeType, true, edge.id,
-          "no type with this label set");
-      continue;
-    }
-    type = candidates[0];
-    check_candidates(candidates, edge.properties, true, edge.id);
-
+    std::vector<const EdgeType*> candidates = check_element(
+        edge_index, edge.labels, edge.properties, true, edge.id);
+    if (candidates.empty()) continue;
+    const EdgeType* type = candidates[0];
     if (strict) {
       // Endpoint check: the (src token, dst token) pair must be declared.
       uint32_t src_token =

@@ -3,12 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "pg/graph.h"
 #include "pg/property_map.h"
-#include "pg/value.h"
 
 namespace pghive::pg {
 
@@ -26,13 +24,6 @@ class PresenceBitmap {
   bool Test(size_t row) const {
     return (words_[row >> 6] >> (row & 63)) & 1ULL;
   }
-
-  /// Number of set bits in [0, row) — the dense-array index ("present rank")
-  /// of `row` in an Arrow-style column.
-  size_t RankBefore(size_t row) const;
-
-  /// Total set bits.
-  size_t Count() const { return RankBefore(rows_); }
 
   /// Invokes fn(row) for every set bit in [lo, hi), ascending. Scans whole
   /// words, so absent stretches cost one test per 64 rows.
@@ -64,59 +55,27 @@ class PresenceBitmap {
   std::vector<uint64_t> words_;
 };
 
-/// Storage kind of a property column: the single Value alternative every
-/// non-null cell holds, or kMixed when the key carries several.
-enum class ColumnKind : uint8_t {
-  kEmpty,   ///< All present cells are null.
-  kBool,
-  kInt,
-  kFloat,
-  kString,
-  kMixed,
-};
-
-/// A struct-of-arrays property column: the rows of one ColumnStore that
-/// carry `key`, Arrow-style. `present` marks rows carrying the key at all;
-/// `valid` additionally clears rows whose stored value is null. Non-null
-/// cell payloads live in exactly one typed dense array (per `kind`), with
-/// one slot per *present* row — null cells keep a default-valued slot so the
-/// present-rank of a row indexes the array directly.
-///
-/// Value columns are only materialized when the store is built with
-/// with_values = true (round-trip, statistics, future datatype-inference
-/// migration); the hot pipeline consumers read only tokens, the key CSR and
-/// the presence bitmaps.
+/// The rows of one ColumnStore that carry `key`, as a presence bitmap. A key
+/// stored with a null value is present.
 struct PropertyColumn {
   PropKeyId key = 0;
-  ColumnKind kind = ColumnKind::kEmpty;
   PresenceBitmap present;
-  PresenceBitmap valid;
-  std::vector<uint8_t> bools;
-  std::vector<int64_t> ints;
-  std::vector<double> floats;
-  std::vector<std::string> strings;
-  /// kMixed fallback: the untyped cells, one per present row.
-  std::vector<Value> values;
-
-  /// Reconstructs the cell at `row` (which must be present): the stored
-  /// Value, or a null Value for a null cell.
-  Value ValueAt(size_t row) const;
 };
 
 /// A struct-of-arrays snapshot of one batch's elements (nodes or edges, in
-/// batch order): interned label-set token-id arrays, a CSR of the per-row
-/// sorted property-key sets, and one presence-bitmapped column per distinct
-/// key — the contiguous layout the vectorize / LSH / corpus inner loops scan
-/// instead of chasing per-row PropertyMap allocations (the
-/// Arrow-table-per-property-set idea of KatanaGraph's RDGCore, scoped to a
-/// batch).
+/// batch order): interned label-set token-id arrays, endpoint tokens and ids
+/// for edges, a CSR of the per-row sorted property-key sets, and one
+/// presence bitmap per distinct key — the contiguous layout the vectorize /
+/// LSH / corpus inner loops scan instead of chasing per-row PropertyMap
+/// allocations (the Arrow-table-per-property-set idea of KatanaGraph's
+/// RDGCore, scoped to a batch). It holds no property values: its consumers
+/// only ask which keys a row carries.
 ///
 /// Built once per batch from the row representation, which stays the source
-/// of truth — row-oriented callers keep working unchanged. Building interns
-/// label-set tokens sequentially in a canonical order (edges: src, edge, dst
-/// per edge; nodes: row order), the same order the row path uses, so token
-/// ids — and therefore every downstream schema — are identical whichever
-/// representation feeds the pipeline.
+/// of truth. Building interns label-set tokens sequentially in a canonical
+/// order (edges: src, edge, dst per edge; nodes: row order), the same order
+/// the row path uses, so token ids — and therefore every downstream schema
+/// — are identical whichever representation feeds the pipeline.
 class ColumnStore {
  public:
   ColumnStore() = default;
@@ -141,13 +100,8 @@ class ColumnStore {
   const std::vector<uint32_t>& key_offsets() const { return key_offsets_; }
   const std::vector<PropKeyId>& key_ids() const { return key_ids_; }
 
-  /// Property columns, sorted by key id.
+  /// One presence column per distinct key, sorted by key id.
   const std::vector<PropertyColumn>& columns() const { return columns_; }
-
-  /// The column for `key`, or nullptr if no row carries it.
-  const PropertyColumn* FindColumn(PropKeyId key) const;
-
-  bool has_values() const { return has_values_; }
 
   /// Writes 1.0f into data[(row - lo) * stride + offset + key] for every
   /// (row, key) presence pair with key < max_key and row in [lo, hi) — the
@@ -156,28 +110,19 @@ class ColumnStore {
   void FillBinaryBlock(size_t lo, size_t hi, size_t max_key, float* data,
                        size_t stride, size_t offset) const;
 
-  /// Reconstructs row `row`'s PropertyMap from the columns (requires
-  /// with_values). Round-trip identity with the source rows is pinned by
-  /// tests/pg/column_store_test.cc.
-  PropertyMap RowProperties(size_t row) const;
-
   /// Builds the store for `ids` (in order) against `graph`. Interns any
-  /// unseen label-set tokens (nodes: row order). with_values materializes
-  /// the typed value arrays; the pipeline leaves them off.
+  /// unseen label-set tokens (nodes: row order).
   static ColumnStore ForNodes(PropertyGraph& graph,
-                              const std::vector<NodeId>& ids,
-                              bool with_values = false);
+                              const std::vector<NodeId>& ids);
 
   /// Edge version; also captures endpoint tokens and ids. Interning order
   /// per edge is (src, edge, dst) — the corpus-builder order the Word2Vec
   /// token-id history depends on.
   static ColumnStore ForEdges(PropertyGraph& graph,
-                              const std::vector<EdgeId>& ids,
-                              bool with_values = false);
+                              const std::vector<EdgeId>& ids);
 
  private:
-  void BuildPropertyColumns(
-      const std::vector<const PropertyMap*>& rows, bool with_values);
+  void BuildPropertyColumns(const std::vector<const PropertyMap*>& rows);
 
   std::vector<uint64_t> ids_;
   std::vector<LabelSetToken> tokens_;
@@ -188,7 +133,6 @@ class ColumnStore {
   std::vector<uint32_t> key_offsets_;
   std::vector<PropKeyId> key_ids_;
   std::vector<PropertyColumn> columns_;
-  bool has_values_ = false;
 };
 
 }  // namespace pghive::pg

@@ -1,7 +1,7 @@
 #include "service/session_manager.h"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,7 +15,9 @@ namespace {
 
 /// Parses the numeric part of a checkpoint filename "s<k>.pghd" /
 /// "s<k>.feed" / "s<k>.journal" into *id; false for anything else (including
-/// foreign files in the dir).
+/// foreign files in the dir). Only the canonical "s" + std::to_string(k)
+/// form the manager writes itself is accepted, so "s01" cannot alias "s1"
+/// and a stem too long for a u64 cannot wrap around.
 bool ParseCheckpointId(const std::string& stem, const std::string& extension,
                        uint64_t* id) {
   if (extension != ".pghd" && extension != ".feed" &&
@@ -24,9 +26,10 @@ bool ParseCheckpointId(const std::string& stem, const std::string& extension,
   }
   if (stem.size() < 2 || stem[0] != 's') return false;
   uint64_t value = 0;
-  for (size_t i = 1; i < stem.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(stem[i]))) return false;
-    value = value * 10 + static_cast<uint64_t>(stem[i] - '0');
+  const char* end = stem.data() + stem.size();
+  auto [ptr, ec] = std::from_chars(stem.data() + 1, end, value);
+  if (ec != std::errc() || ptr != end || stem != "s" + std::to_string(value)) {
+    return false;
   }
   *id = value;
   return true;

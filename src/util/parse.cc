@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <sstream>
 
 namespace pghive::util {
 
@@ -36,6 +38,26 @@ StatusOr<int64_t> ParseInt64InRange(const std::string& text, int64_t min,
                               ", " + std::to_string(max) + "], got " + text);
   }
   return *parsed;
+}
+
+StatusOr<double> ParseDoubleInRange(const std::string& text, double lo,
+                                    double hi, const std::string& what) {
+  char* end = nullptr;
+  const double parsed = std::strtod(text.c_str(), &end);
+  // strtod skips leading whitespace and reads "inf" / "nan"; an overflow
+  // comes back as HUGE_VAL, so the finiteness check refuses it too.
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text.front())) ||
+      end == text.c_str() || *end != '\0' || !std::isfinite(parsed)) {
+    return Status::ParseError(what + ": '" + text +
+                              "' is not a finite number");
+  }
+  if (!(parsed > lo && parsed <= hi)) {
+    std::ostringstream range;
+    range << "(" << lo << ", " << hi << "]";
+    return Status::OutOfRange(what + " must be in " + range.str() + ", got " +
+                              text);
+  }
+  return parsed;
 }
 
 }  // namespace pghive::util

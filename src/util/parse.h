@@ -20,6 +20,13 @@ StatusOr<int64_t> ParseInt64(const std::string& text);
 StatusOr<int64_t> ParseInt64InRange(const std::string& text, int64_t min,
                                     int64_t max, const std::string& what);
 
+/// Strict parsing of a finite decimal number in the half-open range
+/// (lo, hi]: the whole string must be one number, and "inf", "nan" or a
+/// value that overflows a double are refused like garbage (ParseError);
+/// a finite value outside the range is OutOfRange. `what` names the knob.
+StatusOr<double> ParseDoubleInRange(const std::string& text, double lo,
+                                    double hi, const std::string& what);
+
 }  // namespace pghive::util
 
 #endif  // PGHIVE_UTIL_PARSE_H_

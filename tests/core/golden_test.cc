@@ -1,9 +1,10 @@
 // Golden outputs: the discovered schema bytes are pinned, not just compared
 // across execution plans. tests/golden/schema_digests.txt holds an FNV-1a-64
-// digest of the strict .pgs and of the .xsd for every zoo dataset x
-// {ELSH, MinHash} x {1, 4} batches at scale 0.04 (where Word2Vec stays
-// finite). A change that alters discovery output on purpose re-records the
-// table as an explicit, reviewed step:
+// digest of every rendered form of the schema (strict and loose .pgs, .xsd,
+// DescribeSchema, the PGHB binary and the full-schema PGHF diff record) for
+// every zoo dataset x {ELSH, MinHash} x {1, 4} batches at scale 0.04 (where
+// Word2Vec stays finite). A change that alters discovery output on purpose
+// re-records the table as an explicit, reviewed step:
 //
 //   PGHIVE_RECORD_GOLDEN=1 ./build/tests/pghive_core_tests
 //       --gtest_filter='GoldenTest.*'
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "core/pghive.h"
+#include "core/schema_diff.h"
 #include "core/serialize.h"
 #include "datasets/generator.h"
 #include "datasets/zoo.h"
@@ -60,10 +63,10 @@ std::string ReadFile(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-struct Digest {
-  std::string pgs;
-  std::string xsd;
-};
+// One digest per rendered form, in the column order of the table file.
+constexpr const char* kColumns[] = {"pgs",      "xsd",    "pgs_loose",
+                                    "describe", "binary", "diff"};
+using Digest = std::array<std::string, std::size(kColumns)>;
 
 // One case of the table, as its line key: "<dataset> <method> <batches>".
 Digest DiscoverDigest(const datasets::DatasetSpec& spec, ClusterMethod method,
@@ -83,9 +86,16 @@ Digest DiscoverDigest(const datasets::DatasetSpec& spec, ClusterMethod method,
     }
     EXPECT_TRUE(hive.Finish().ok()) << spec.name;
   }
-  return {Hex(Fnv1a64(SerializePgSchema(hive.schema(), dataset.graph.vocab(),
-                                        SchemaMode::kStrict))),
-          Hex(Fnv1a64(SerializeXsd(hive.schema(), dataset.graph.vocab())))};
+  const SchemaGraph& schema = hive.schema();
+  const pg::Vocabulary& vocab = dataset.graph.vocab();
+  return {
+      Hex(Fnv1a64(SerializePgSchema(schema, vocab, SchemaMode::kStrict))),
+      Hex(Fnv1a64(SerializeXsd(schema, vocab))),
+      Hex(Fnv1a64(SerializePgSchema(schema, vocab, SchemaMode::kLoose))),
+      Hex(Fnv1a64(DescribeSchema(schema, vocab))),
+      Hex(Fnv1a64(SerializeSchemaBinary(schema))),
+      Hex(Fnv1a64(SerializeSchemaDiffBinary(
+          DiffSchemas(SchemaGraph(), schema, vocab))))};
 }
 
 std::map<std::string, Digest> ComputeTable() {
@@ -113,7 +123,8 @@ std::map<std::string, Digest> ReadTable(const std::string& path) {
     std::istringstream fields(line);
     std::string name, method, batches;
     Digest digest;
-    fields >> name >> method >> batches >> digest.pgs >> digest.xsd;
+    fields >> name >> method >> batches;
+    for (std::string& column : digest) fields >> column;
     table[name + " " + method + " " + batches] = digest;
   }
   return table;
@@ -124,10 +135,13 @@ TEST(GoldenTest, SchemaDigestsMatchOnEveryZooDataset) {
   std::map<std::string, Digest> actual = ComputeTable();
   if (std::getenv("PGHIVE_RECORD_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::trunc);
-    out << "# dataset method batches pgs_fnv1a64 xsd_fnv1a64\n"
-        << "# zoo scale 0.04, generator seed 42, batch split seed 5\n";
+    out << "# dataset method batches";
+    for (const char* column : kColumns) out << " " << column << "_fnv1a64";
+    out << "\n# zoo scale 0.04, generator seed 42, batch split seed 5\n";
     for (const auto& [key, digest] : actual) {
-      out << key << " " << digest.pgs << " " << digest.xsd << "\n";
+      out << key;
+      for (const std::string& column : digest) out << " " << column;
+      out << "\n";
     }
     ASSERT_TRUE(out.good()) << "cannot write " << path;
     GTEST_SKIP() << "recorded " << actual.size() << " digests to " << path;
@@ -137,8 +151,10 @@ TEST(GoldenTest, SchemaDigestsMatchOnEveryZooDataset) {
   for (const auto& [key, digest] : expected) {
     auto it = actual.find(key);
     ASSERT_NE(it, actual.end()) << "no such case: " << key;
-    EXPECT_EQ(it->second.pgs, digest.pgs) << key << " (.pgs)";
-    EXPECT_EQ(it->second.xsd, digest.xsd) << key << " (.xsd)";
+    for (size_t c = 0; c < digest.size(); ++c) {
+      EXPECT_FALSE(digest[c].empty()) << key << " lacks " << kColumns[c];
+      EXPECT_EQ(it->second[c], digest[c]) << key << " (" << kColumns[c] << ")";
+    }
   }
 }
 

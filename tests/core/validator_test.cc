@@ -142,6 +142,28 @@ TEST(ValidatorTest, CardinalityExceededInStrict) {
   EXPECT_GE(report.CountKind(ViolationKind::kCardinalityExceeded), 1u);
 }
 
+// STRICT mode reports an unlabeled node that no ABSTRACT type covers even
+// when the schema has no labeled node type, exactly as it does for edges.
+TEST(ValidatorTest, UncoveredUnlabeledNodeReportedWithoutLabeledTypes) {
+  pg::PropertyGraph graph;
+  SchemaGraph schema;
+  NodeType abstract_a;
+  abstract_a.properties[graph.vocab().InternKey("a")];
+  schema.node_types().push_back(abstract_a);
+  pg::NodeId n = graph.AddNode({});
+  graph.SetNodeProperty(n, "b", pg::Value("x"));
+
+  ValidatorOptions options;
+  options.mode = SchemaMode::kStrict;
+  ValidationReport strict = SchemaValidator(&schema, options).Validate(graph);
+  EXPECT_EQ(strict.violations.size(), 1u) << strict.Summary();
+  EXPECT_EQ(strict.CountKind(ViolationKind::kUnknownNodeType), 1u);
+
+  options.mode = SchemaMode::kLoose;
+  ValidationReport loose = SchemaValidator(&schema, options).Validate(graph);
+  EXPECT_TRUE(loose.conforms()) << loose.Summary();
+}
+
 TEST(ValidatorTest, MaxViolationsCapsOutput) {
   Fixture f;
   for (int i = 0; i < 10; ++i) f.graph.AddNode({"Alien"});

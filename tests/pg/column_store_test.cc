@@ -1,8 +1,9 @@
 // ColumnStore is a derived, struct-of-arrays view of the row representation,
 // so every test here is an equivalence pin: whatever random rows say, the
-// columns must say byte for byte — round-trip through RowProperties, CSR key
-// order vs entries() order, null/overwrite/erase semantics, and the
-// FillBinaryBlock sweep against the naive per-row loop.
+// columns must say exactly — each row's key set rebuilt from the presence
+// bitmaps, CSR key order vs entries() order, endpoint ids and tokens,
+// null/overwrite/erase semantics, and the FillBinaryBlock sweep against the
+// naive per-row loop.
 
 #include "pg/column_store.h"
 
@@ -87,24 +88,13 @@ std::vector<EdgeId> AllEdges(const PropertyGraph& graph) {
   return ids;
 }
 
-TEST(PresenceBitmapTest, RankBeforeMatchesNaiveCount) {
-  util::Rng rng(7);
-  const size_t rows = 300;  // Crosses several word boundaries.
-  PresenceBitmap bitmap(rows);
-  std::vector<bool> naive(rows, false);
-  for (size_t i = 0; i < rows; ++i) {
-    if (rng.NextBounded(3) == 0) {
-      bitmap.Set(i);
-      naive[i] = true;
-    }
+/// Row `row`'s key set as the presence bitmaps record it, ascending.
+std::vector<KeyId> PresentKeys(const ColumnStore& cols, size_t row) {
+  std::vector<KeyId> keys;
+  for (const PropertyColumn& col : cols.columns()) {
+    if (col.present.Test(row)) keys.push_back(col.key);
   }
-  size_t rank = 0;
-  for (size_t i = 0; i < rows; ++i) {
-    EXPECT_EQ(bitmap.Test(i), naive[i]) << i;
-    EXPECT_EQ(bitmap.RankBefore(i), rank) << i;
-    if (naive[i]) ++rank;
-  }
-  EXPECT_EQ(bitmap.Count(), rank);
+  return keys;
 }
 
 TEST(PresenceBitmapTest, ForEachSetHonorsRangeBoundaries) {
@@ -123,6 +113,7 @@ TEST(PresenceBitmapTest, ForEachSetHonorsRangeBoundaries) {
   const std::pair<size_t, size_t> ranges[] = {
       {0, rows}, {0, 0},   {0, 1},    {0, 63},   {0, 64},  {1, 64},
       {63, 65},  {64, 64}, {64, 128}, {65, 127}, {100, 101}, {130, rows}};
+  for (size_t i = 0; i < rows; ++i) EXPECT_EQ(bitmap.Test(i), naive[i]) << i;
   for (const auto& [lo, hi] : ranges) {
     std::vector<size_t> got, want;
     bitmap.ForEachSet(lo, hi, [&](size_t row) { got.push_back(row); });
@@ -136,27 +127,23 @@ TEST(PresenceBitmapTest, ForEachSetHonorsRangeBoundaries) {
 TEST(ColumnStoreTest, NodeRowsRoundTripThroughColumns) {
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     PropertyGraph graph = RandomGraph(seed, 120, 0);
-    ColumnStore cols =
-        graph.BuildNodeColumns(AllNodes(graph), /*with_values=*/true);
+    ColumnStore cols = ColumnStore::ForNodes(graph, AllNodes(graph));
     ASSERT_EQ(cols.num_rows(), graph.num_nodes());
-    EXPECT_TRUE(cols.has_values());
+    EXPECT_EQ(cols.ids(), AllNodes(graph));
     for (size_t row = 0; row < cols.num_rows(); ++row) {
-      const PropertyMap& want = graph.node(row).properties;
-      PropertyMap got = cols.RowProperties(row);
-      EXPECT_EQ(got.entries(), want.entries()) << "seed " << seed
-                                               << " row " << row;
+      EXPECT_EQ(PresentKeys(cols, row), graph.node(row).properties.Keys())
+          << "seed " << seed << " row " << row;
     }
   }
 }
 
 TEST(ColumnStoreTest, EdgeRowsRoundTripThroughColumns) {
   PropertyGraph graph = RandomGraph(6, 40, 150);
-  ColumnStore cols =
-      graph.BuildEdgeColumns(AllEdges(graph), /*with_values=*/true);
+  ColumnStore cols = ColumnStore::ForEdges(graph, AllEdges(graph));
   ASSERT_EQ(cols.num_rows(), graph.num_edges());
   for (size_t row = 0; row < cols.num_rows(); ++row) {
     const Edge& e = graph.edge(row);
-    EXPECT_EQ(cols.RowProperties(row).entries(), e.properties.entries());
+    EXPECT_EQ(PresentKeys(cols, row), e.properties.Keys());
     EXPECT_EQ(cols.src_ids()[row], e.src);
     EXPECT_EQ(cols.dst_ids()[row], e.dst);
     EXPECT_EQ(cols.src_tokens()[row],
@@ -168,7 +155,7 @@ TEST(ColumnStoreTest, EdgeRowsRoundTripThroughColumns) {
 
 TEST(ColumnStoreTest, KeyCsrMatchesRowKeyOrder) {
   PropertyGraph graph = RandomGraph(8, 100, 0);
-  ColumnStore cols = graph.BuildNodeColumns(AllNodes(graph));
+  ColumnStore cols = ColumnStore::ForNodes(graph, AllNodes(graph));
   ASSERT_EQ(cols.key_offsets().size(), cols.num_rows() + 1);
   for (size_t row = 0; row < cols.num_rows(); ++row) {
     const std::vector<KeyId> want = graph.node(row).properties.Keys();
@@ -179,29 +166,25 @@ TEST(ColumnStoreTest, KeyCsrMatchesRowKeyOrder) {
   }
 }
 
-TEST(ColumnStoreTest, ColumnsSortedByKeyAndFindColumnAgrees) {
+TEST(ColumnStoreTest, ColumnsSortedByKeyAndPresenceExact) {
   PropertyGraph graph = RandomGraph(9, 150, 0);
-  ColumnStore cols =
-      graph.BuildNodeColumns(AllNodes(graph), /*with_values=*/true);
+  ColumnStore cols = ColumnStore::ForNodes(graph, AllNodes(graph));
   ASSERT_FALSE(cols.columns().empty());
   for (size_t c = 1; c < cols.columns().size(); ++c) {
     EXPECT_LT(cols.columns()[c - 1].key, cols.columns()[c].key);
   }
   for (const PropertyColumn& col : cols.columns()) {
-    EXPECT_EQ(cols.FindColumn(col.key), &col);
-    // Presence bits reproduce exactly the rows carrying the key, and the
-    // valid subset the rows whose stored value is non-null.
+    // Presence bits reproduce exactly the rows carrying the key, null
+    // values included.
+    ASSERT_EQ(col.present.rows(), cols.num_rows());
+    bool carried = false;
     for (size_t row = 0; row < cols.num_rows(); ++row) {
-      const Value* v = graph.node(row).properties.Get(col.key);
-      EXPECT_EQ(col.present.Test(row), v != nullptr);
-      EXPECT_EQ(col.valid.Test(row), v != nullptr && !v->is_null());
-      if (v != nullptr) {
-        EXPECT_EQ(col.ValueAt(row), *v);
-      }
+      const bool has = graph.node(row).properties.Has(col.key);
+      EXPECT_EQ(col.present.Test(row), has) << "key " << col.key;
+      carried |= has;
     }
+    EXPECT_TRUE(carried) << "column for a key no row carries: " << col.key;
   }
-  // A key no row carries.
-  EXPECT_EQ(cols.FindColumn(static_cast<PropKeyId>(10000)), nullptr);
 }
 
 TEST(ColumnStoreTest, OverwriteEraseAndNullSemantics) {
@@ -217,53 +200,36 @@ TEST(ColumnStoreTest, OverwriteEraseAndNullSemantics) {
   ASSERT_TRUE(graph.node(a).properties.Erase(
       graph.node(a).properties.Keys()[1]));  // erase "gone"
 
-  ColumnStore cols =
-      graph.BuildNodeColumns({a, b, c}, /*with_values=*/true);
+  ColumnStore cols = ColumnStore::ForNodes(graph, {a, b, c});
   // "gone" was erased before the build: no row carries it, so no column.
   ASSERT_EQ(cols.columns().size(), 2u);
 
-  const PropertyColumn* age = &cols.columns()[0];
-  EXPECT_EQ(age->kind, ColumnKind::kMixed);  // string row + int row
-  EXPECT_EQ(age->ValueAt(0), Value("thirty"));
-  EXPECT_EQ(age->ValueAt(1), Value(static_cast<int64_t>(40)));
-  EXPECT_FALSE(age->present.Test(2));
+  // The overwritten key stays present once, whatever its new value type.
+  const PropertyColumn& age = cols.columns()[0];
+  EXPECT_TRUE(age.present.Test(0));
+  EXPECT_TRUE(age.present.Test(1));
+  EXPECT_FALSE(age.present.Test(2));
 
-  const PropertyColumn* hole = &cols.columns()[1];
-  EXPECT_TRUE(hole->present.Test(1));   // key present...
-  EXPECT_FALSE(hole->valid.Test(1));    // ...value null
-  EXPECT_TRUE(hole->ValueAt(1).is_null());
-  EXPECT_EQ(hole->kind, ColumnKind::kEmpty);  // only null cells
+  // A key stored with a null value is present.
+  const PropertyColumn& hole = cols.columns()[1];
+  EXPECT_FALSE(hole.present.Test(0));
+  EXPECT_TRUE(hole.present.Test(1));
 
-  // Round-trip reproduces the null entry and the erased key's absence.
-  EXPECT_EQ(cols.RowProperties(0).entries(),
-            graph.node(a).properties.entries());
-  EXPECT_EQ(cols.RowProperties(1).entries(),
-            graph.node(b).properties.entries());
-  EXPECT_TRUE(cols.RowProperties(2).empty());
-}
-
-TEST(ColumnStoreTest, SingleTypeColumnsUseTypedArrays) {
-  PropertyGraph graph;
-  for (int i = 0; i < 5; ++i) {
-    NodeId id = graph.AddNode({"N"});
-    graph.SetNodeProperty(id, "i", Value(static_cast<int64_t>(i)));
-    graph.SetNodeProperty(id, "f", Value(0.5 * i));
-    graph.SetNodeProperty(id, "b", Value(i % 2 == 0));
-    graph.SetNodeProperty(id, "s", Value("v" + std::to_string(i)));
+  // The CSR and the bitmaps agree on every row, including the erased key's
+  // absence and the empty row.
+  for (size_t row = 0; row < 3; ++row) {
+    const std::vector<KeyId> want =
+        graph.node(cols.ids()[row]).properties.Keys();
+    EXPECT_EQ(PresentKeys(cols, row), want) << row;
+    EXPECT_EQ(cols.key_offsets()[row + 1] - cols.key_offsets()[row],
+              want.size());
   }
-  ColumnStore cols =
-      graph.BuildNodeColumns(AllNodes(graph), /*with_values=*/true);
-  ASSERT_EQ(cols.columns().size(), 4u);
-  EXPECT_EQ(cols.columns()[0].kind, ColumnKind::kInt);
-  EXPECT_EQ(cols.columns()[0].ints.size(), 5u);
-  EXPECT_EQ(cols.columns()[1].kind, ColumnKind::kFloat);
-  EXPECT_EQ(cols.columns()[2].kind, ColumnKind::kBool);
-  EXPECT_EQ(cols.columns()[3].kind, ColumnKind::kString);
+  EXPECT_EQ(cols.key_offsets()[3], cols.key_offsets()[2]);
 }
 
 TEST(ColumnStoreTest, FillBinaryBlockMatchesNaiveRowSweep) {
   PropertyGraph graph = RandomGraph(13, 230, 0);
-  ColumnStore cols = graph.BuildNodeColumns(AllNodes(graph));
+  ColumnStore cols = ColumnStore::ForNodes(graph, AllNodes(graph));
   const size_t num = cols.num_rows();
   const size_t max_key = 5;  // Smaller than the key universe on purpose.
   const size_t offset = 3, stride = offset + max_key + 2;
@@ -284,35 +250,34 @@ TEST(ColumnStoreTest, FillBinaryBlockMatchesNaiveRowSweep) {
 
 TEST(ColumnStoreTest, EmptyAndValuelessStores) {
   PropertyGraph graph = RandomGraph(17, 20, 10);
-  ColumnStore empty = graph.BuildNodeColumns({});
+  ColumnStore empty = ColumnStore::ForNodes(graph, {});
   EXPECT_EQ(empty.num_rows(), 0u);
   EXPECT_TRUE(empty.columns().empty());
   std::vector<float> untouched(8, -1.0f);
   empty.FillBinaryBlock(0, 0, 4, untouched.data(), 8, 0);
   EXPECT_EQ(untouched, std::vector<float>(8, -1.0f));
 
-  // Default build skips the value arrays but keeps presence exact.
-  ColumnStore lean = graph.BuildNodeColumns(AllNodes(graph));
-  EXPECT_FALSE(lean.has_values());
+  // A store holds no values, yet its presence counts are exact.
+  ColumnStore lean = ColumnStore::ForNodes(graph, AllNodes(graph));
   for (const PropertyColumn& col : lean.columns()) {
-    EXPECT_TRUE(col.bools.empty() && col.ints.empty() && col.floats.empty() &&
-                col.strings.empty() && col.values.empty());
-    size_t present = 0;
+    size_t want = 0;
     for (size_t row = 0; row < lean.num_rows(); ++row) {
-      if (graph.node(row).properties.Has(col.key)) ++present;
+      if (graph.node(row).properties.Has(col.key)) ++want;
     }
-    EXPECT_EQ(col.present.Count(), present);
+    size_t got = 0;
+    col.present.ForEachSet(0, lean.num_rows(), [&](size_t) { ++got; });
+    EXPECT_EQ(got, want) << "key " << col.key;
   }
 }
 
 TEST(ColumnStoreTest, TokensMatchRowOrderInterning) {
   PropertyGraph graph = RandomGraph(19, 60, 80);
-  ColumnStore node_cols = graph.BuildNodeColumns(AllNodes(graph));
+  ColumnStore node_cols = ColumnStore::ForNodes(graph, AllNodes(graph));
   for (size_t row = 0; row < node_cols.num_rows(); ++row) {
     EXPECT_EQ(node_cols.tokens()[row],
               graph.vocab().TokenForLabelSet(graph.node(row).labels));
   }
-  ColumnStore edge_cols = graph.BuildEdgeColumns(AllEdges(graph));
+  ColumnStore edge_cols = ColumnStore::ForEdges(graph, AllEdges(graph));
   for (size_t row = 0; row < edge_cols.num_rows(); ++row) {
     EXPECT_EQ(edge_cols.tokens()[row],
               graph.vocab().TokenForLabelSet(graph.edge(row).labels));

@@ -120,6 +120,52 @@ TEST(DurableSessionTest, ScheduledCheckpointRestoresAcrossManagers) {
   EXPECT_EQ((*final_snapshot)->pgs_strict, expected);
 }
 
+// Only the canonical "s<k>" names the manager writes are checkpoints. An
+// older copy of s1's snapshot saved as s01.pghd must not restore as s1 too
+// (it would replay s1.journal and cut it back to its own batch count), and a
+// stem too long for a u64 must not wrap around onto a real id.
+TEST(DurableSessionTest, NonCanonicalCheckpointNamesAreForeignFiles) {
+  const size_t batches = 4;
+  const std::string expected = UninterruptedSessionPgs(batches);
+  ASSERT_FALSE(expected.empty());
+  const std::string dir = FreshCheckpointDir("aliases");
+  pg::PropertyGraph graph = SocialGraph();
+  auto payloads = BuildIngestPayloads(graph, batches);
+  {
+    SessionManager manager(nullptr, DurableOptions(dir));
+    ASSERT_TRUE(manager.RestoreFromCheckpointDir().ok());
+    auto session = manager.CreateSession({});
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE((*session)->SubmitIngest(payloads[0]).ok());
+    (*session)->Drain();
+    fs::copy_file(dir + "/s1.pghd", dir + "/s01.pghd");
+    ASSERT_TRUE((*session)->SubmitIngest(payloads[1]).ok());
+    (*session)->Drain();
+  }
+  // 2^64 + 1, which a wrapping parse reads as id 1.
+  std::ofstream(dir + "/s18446744073709551617.pghd") << "not a checkpoint";
+  const auto journal_bytes = fs::file_size(dir + "/s1.journal");
+
+  SessionManager manager(nullptr, DurableOptions(dir));
+  util::Status status = manager.RestoreFromCheckpointDir();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(manager.num_sessions(), 1u);
+  EXPECT_FALSE(manager.Lookup("s01").ok());
+  auto restored = manager.Lookup("s1");
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ((*restored)->batches_ingested(), 2u);
+  EXPECT_EQ(fs::file_size(dir + "/s1.journal"), journal_bytes);
+  auto fresh = manager.CreateSession({});
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ((*fresh)->id(), "s2");
+  for (size_t i = 2; i < batches; ++i) {
+    ASSERT_TRUE((*restored)->SubmitIngest(payloads[i]).ok());
+  }
+  auto final_snapshot = (*restored)->FinalSnapshot();
+  ASSERT_TRUE(final_snapshot.ok()) << final_snapshot.status().ToString();
+  EXPECT_EQ((*final_snapshot)->pgs_strict, expected);
+}
+
 TEST(DurableSessionTest, FinishCheckpointsEvenOffSchedule) {
   const std::string dir = FreshCheckpointDir("finish");
   pg::PropertyGraph graph = SocialGraph();

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 
 namespace pghive::util {
 namespace {
@@ -45,6 +46,34 @@ TEST(ParseInt64InRangeTest, ErrorNamesTheKnob) {
   auto v = ParseInt64InRange("banana", 1, 10, "--pipeline-depth");
   ASSERT_FALSE(v.ok());
   EXPECT_NE(v.status().message().find("--pipeline-depth"), std::string::npos);
+}
+
+TEST(ParseDoubleInRangeTest, ParsesWholeFiniteNumbers) {
+  EXPECT_EQ(*ParseDoubleInRange("1.0", 0.0, 100.0, "--scale"), 1.0);
+  EXPECT_EQ(*ParseDoubleInRange("0.04", 0.0, 100.0, "--scale"), 0.04);
+  EXPECT_EQ(*ParseDoubleInRange("2", 0.0, 100.0, "--scale"), 2.0);
+  EXPECT_EQ(*ParseDoubleInRange("1e1", 0.0, 100.0, "--scale"), 10.0);
+}
+
+TEST(ParseDoubleInRangeTest, RejectsGarbageAndNonFiniteValues) {
+  for (const char* bad : {"", "banana", "1.5x", " 1", "1 ", "inf", "-inf",
+                          "nan", "infinity", "1e999"}) {
+    auto v = ParseDoubleInRange(bad, 0.0, 100.0, "--scale");
+    ASSERT_FALSE(v.ok()) << "'" << bad << "'";
+    EXPECT_EQ(v.code(), StatusCode::kParseError) << "'" << bad << "'";
+    EXPECT_NE(v.status().message().find("--scale"), std::string::npos);
+  }
+}
+
+TEST(ParseDoubleInRangeTest, RangeExcludesLowAndIncludesHigh) {
+  EXPECT_EQ(*ParseDoubleInRange("100", 0.0, 100.0, "--scale"), 100.0);
+  for (const char* out : {"0", "-0", "-3", "100.5", "1e-400"}) {
+    auto v = ParseDoubleInRange(out, 0.0, 100.0, "--scale");
+    ASSERT_FALSE(v.ok()) << out;
+    EXPECT_EQ(v.code(), StatusCode::kOutOfRange) << out;
+    EXPECT_NE(v.status().message().find("(0, 100]"), std::string::npos)
+        << v.status().message();
+  }
 }
 
 }  // namespace

@@ -410,13 +410,16 @@ int CmdGenerate(const Args& args) {
   }
   auto spec = datasets::ZooDataset(args.Get("dataset"));
   if (!spec.ok()) return Fail(spec.status().ToString());
-  double scale = std::atof(args.Get("scale", "1.0").c_str());
+  // (0, 100]: the range the PGHIVE_SCALE knob of the benches clamps to.
+  auto scale =
+      util::ParseDoubleInRange(args.Get("scale", "1.0"), 0.0, 100.0, "--scale");
+  if (!scale.ok()) return Fail(scale.status().ToString());
   auto seed = util::ParseInt64InRange(args.Get("seed", "42"), 0,
                                       std::numeric_limits<int64_t>::max(),
                                       "--seed");
   if (!seed.ok()) return Fail(seed.status().ToString());
   datasets::Dataset dataset =
-      datasets::Generate(spec.value(), scale, static_cast<uint64_t>(*seed));
+      datasets::Generate(spec.value(), *scale, static_cast<uint64_t>(*seed));
   auto status = pg::SaveGraphFile(dataset.graph, args.Get("out"));
   if (!status.ok()) return Fail(status.ToString());
   std::printf("generated %s: %zu nodes, %zu edges -> %s\n",
