@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // primitives: ELSH hashing, MinHash signatures, the vectorizer, Word2Vec
-// training, GMM EM steps, the type-extraction merge, and thread sweeps of
-// the parallel vectorize/cluster stages.
+// training, GMM EM steps, the type-extraction merge, the graph-text codec,
+// and thread sweeps of the parallel vectorize/cluster stages.
 //
 // Besides the google-benchmark CLI, the binary has two perf-tracking modes:
 //
@@ -42,6 +42,7 @@
 #include "datasets/zoo.h"
 #include "embed/hash_embedder.h"
 #include "embed/word2vec.h"
+#include "pg/graph_io.h"
 #include "lsh/clustering.h"
 #include "lsh/euclidean_lsh.h"
 #include "lsh/minhash.h"
@@ -141,6 +142,39 @@ void BM_FullPipeline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullPipeline);
+
+// Graph-text codec throughput on LDBC at scale 1 (items = elements).
+void BM_LoadGraphText(benchmark::State& state) {
+  const auto dataset = datasets::Generate(datasets::LdbcSpec(), 1.0, 7);
+  const std::string text = pg::SaveGraphText(dataset.graph);
+  for (auto _ : state) {
+    auto loaded = pg::LoadGraphText(text);
+    benchmark::DoNotOptimize(loaded);
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<int64_t>(dataset.graph.num_nodes() +
+                           dataset.graph.num_edges()));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_LoadGraphText);
+
+void BM_SaveGraphText(benchmark::State& state) {
+  const auto dataset = datasets::Generate(datasets::LdbcSpec(), 1.0, 7);
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string text = pg::SaveGraphText(dataset.graph);
+    bytes = text.size();
+    benchmark::DoNotOptimize(text);
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<int64_t>(dataset.graph.num_nodes() +
+                           dataset.graph.num_edges()));
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_SaveGraphText);
 
 // ---- Thread sweeps (Arg = thread count; 0 = hardware concurrency) -------
 

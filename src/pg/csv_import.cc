@@ -70,16 +70,14 @@ std::vector<std::string> SplitLabels(const std::string& cell) {
 
 Value ParseCsvValue(const std::string& cell, const std::string& type_name) {
   std::string t = ToLower(type_name);
+  // A numeric cell that does not parse, out-of-range ones included, stays
+  // a string.
   if (t == "int" || t == "long") {
-    if (LooksLikeInteger(cell)) {
-      return Value(static_cast<int64_t>(std::stoll(cell)));
-    }
+    if (std::optional<int64_t> i = ParseIntegerLiteral(cell)) return Value(*i);
     return Value(cell);
   }
   if (t == "float" || t == "double") {
-    if (LooksLikeFloat(cell) || LooksLikeInteger(cell)) {
-      return Value(std::stod(cell));
-    }
+    if (std::optional<double> d = ParseFloatLiteral(cell)) return Value(*d);
     return Value(cell);
   }
   if (t == "boolean" || t == "bool") {

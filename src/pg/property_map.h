@@ -30,6 +30,9 @@ class PropertyMap {
   /// Removes `key` if present; returns whether it was present.
   bool Erase(KeyId key);
 
+  /// Makes room for `n` entries without regrowth.
+  void Reserve(size_t n) { entries_.reserve(n); }
+
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 

@@ -17,6 +17,20 @@ bool AllDigits(std::string_view s) {
   return true;
 }
 
+// A '.', 'e' or 'E' is what sets a float literal apart from an integer.
+bool HasFloatMark(std::string_view s) {
+  return s.find_first_of(".eE") != std::string_view::npos;
+}
+
+// from_chars over all of `s`: nullopt on a range error or leftover bytes.
+template <typename T>
+std::optional<T> FromCharsWhole(std::string_view s) {
+  T out{};
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  if (ec != std::errc() || ptr != s.data() + s.size()) return std::nullopt;
+  return out;
+}
+
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -73,21 +87,41 @@ bool LooksLikeInteger(std::string_view s) {
 }
 
 bool LooksLikeFloat(std::string_view s) {
-  if (s.empty()) return false;
-  const char* begin = s.data();
-  const char* end = s.data() + s.size();
-  double out = 0.0;
-  auto [ptr, ec] = std::from_chars(begin, end, out);
-  if (ec != std::errc() || ptr != end) return false;
   // Must contain a '.' 'e' or 'E' to be distinct from an integer literal.
-  for (char c : s) {
-    if (c == '.' || c == 'e' || c == 'E') return true;
-  }
-  return false;
+  // from_chars goes first: it rejects most strings at their first byte.
+  return FromCharsWhole<double>(s).has_value() && HasFloatMark(s);
 }
 
 bool LooksLikeBoolean(std::string_view s) {
   return EqualsIgnoreCase(s, "true") || EqualsIgnoreCase(s, "false");
+}
+
+std::optional<int64_t> ParseIntegerLiteral(std::string_view s) {
+  if (!LooksLikeInteger(s)) return std::nullopt;
+  // from_chars takes no '+' sign.
+  if (s[0] == '+') s.remove_prefix(1);
+  return FromCharsWhole<int64_t>(s);
+}
+
+std::optional<double> ParseFloatLiteral(std::string_view s) {
+  if (LooksLikeInteger(s)) {
+    if (s[0] == '+') s.remove_prefix(1);
+    return FromCharsWhole<double>(s);
+  }
+  std::optional<double> d = FromCharsWhole<double>(s);
+  return d && HasFloatMark(s) ? d : std::nullopt;
+}
+
+Value ParseValueLiteral(std::string_view s) {
+  if (s == "null") return Value();
+  if (LooksLikeInteger(s)) {
+    if (std::optional<int64_t> i = ParseIntegerLiteral(s)) return Value(*i);
+    return Value(std::string(s));
+  }
+  if (std::optional<double> d = ParseFloatLiteral(s)) return Value(*d);
+  if (s == "true") return Value(true);
+  if (s == "false") return Value(false);
+  return Value(std::string(s));
 }
 
 bool LooksLikeDate(std::string_view s) {

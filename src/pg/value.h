@@ -2,6 +2,7 @@
 #define PGHIVE_PG_VALUE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -84,6 +85,20 @@ bool LooksLikeFloat(std::string_view s);
 
 /// True if `s` is "true" or "false" (case-insensitive).
 bool LooksLikeBoolean(std::string_view s);
+
+/// The integer a LooksLikeInteger literal denotes, or nullopt when `s` is
+/// not one or lies outside int64. Never throws.
+std::optional<int64_t> ParseIntegerLiteral(std::string_view s);
+
+/// The double a LooksLikeFloat or LooksLikeInteger literal denotes (a
+/// denormal included), or nullopt when `s` is neither or overflows a double.
+/// Never throws.
+std::optional<double> ParseFloatLiteral(std::string_view s);
+
+/// Re-types an untyped literal by probing, in order: "null", an integer
+/// literal within int64, a float literal, "true"/"false" (exact case), and
+/// otherwise the string itself. Graph text and CSV import share this probe.
+Value ParseValueLiteral(std::string_view s);
 
 }  // namespace pghive::pg
 

@@ -1,5 +1,6 @@
 #include "service/assembler.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -18,11 +19,12 @@ namespace {
 /// the low gigabytes.
 constexpr uint64_t kMaxDeclaredElements = uint64_t{1} << 28;
 
-util::StatusOr<uint64_t> ParseId(const std::string& text,
+util::StatusOr<uint64_t> ParseId(std::string_view text,
                                  const std::string& what) {
-  auto parsed = util::ParseInt64(text);
+  auto parsed = util::ParseInt64(std::string(text));
   if (!parsed.ok() || *parsed < 0) {
-    return util::Status::ParseError("bad " + what + " '" + text + "'");
+    return util::Status::ParseError("bad " + what + " '" + std::string(text) +
+                                    "'");
   }
   return static_cast<uint64_t>(*parsed);
 }
@@ -60,9 +62,11 @@ bool ReadBitmap(util::ByteReader* in, std::vector<bool>* bits) {
 
 util::Status GraphAssembler::ApplyPayload(const std::string& payload,
                                           pg::GraphBatch* batch) {
-  std::istringstream in(payload);
-  std::string line;
-  while (std::getline(in, line)) {
+  const std::string_view text(payload);
+  for (size_t start = 0; start < text.size();) {
+    const size_t nl = std::min(text.find('\n', start), text.size());
+    const std::string_view line = text.substr(start, nl - start);
+    start = nl + 1;
     if (line.empty() || line[0] == '#') continue;
     util::Status status = ApplyLine(line, batch);
     if (!status.ok()) return status;
@@ -70,7 +74,7 @@ util::Status GraphAssembler::ApplyPayload(const std::string& payload,
   return util::Status::Ok();
 }
 
-util::Status GraphAssembler::ApplyLine(const std::string& line,
+util::Status GraphAssembler::ApplyLine(std::string_view line,
                                        pg::GraphBatch* batch) {
   switch (line[0]) {
     case 'G':
@@ -83,7 +87,8 @@ util::Status GraphAssembler::ApplyLine(const std::string& line,
       return MaterializeNode(line, /*member=*/false, batch);
     case 'M': {
       if (line.size() < 3 || line[1] != ' ') {
-        return util::Status::ParseError("bad member line '" + line + "'");
+        return util::Status::ParseError("bad member line '" +
+                                        std::string(line) + "'");
       }
       auto id = ParseId(line.substr(2), "member id");
       if (!id.ok()) return id.status();
@@ -97,22 +102,24 @@ util::Status GraphAssembler::ApplyLine(const std::string& line,
     case 'E':
       return MaterializeEdge(line, batch);
     default:
-      return util::Status::ParseError("unknown ingest record '" + line + "'");
+      return util::Status::ParseError("unknown ingest record '" +
+                                      std::string(line) + "'");
   }
 }
 
-util::Status GraphAssembler::ApplyHeader(const std::string& line) {
+util::Status GraphAssembler::ApplyHeader(std::string_view line) {
   if (sized_) {
     return util::Status::FailedPrecondition("duplicate G header");
   }
   if (graph_->num_nodes() != 0 || graph_->num_edges() != 0) {
     return util::Status::FailedPrecondition("G header on a non-empty graph");
   }
-  std::istringstream ls(line);
+  std::istringstream ls{std::string(line)};
   std::string kind;
   uint64_t num_nodes = 0, num_edges = 0;
   if (!(ls >> kind >> num_nodes) || kind != "G") {
-    return util::Status::ParseError("bad G header '" + line + "'");
+    return util::Status::ParseError("bad G header '" + std::string(line) +
+                                    "'");
   }
   ls >> num_edges;
   if (num_edges > 0 && num_nodes == 0) {
@@ -138,12 +145,13 @@ util::Status GraphAssembler::ApplyHeader(const std::string& line) {
   return util::Status::Ok();
 }
 
-util::Status GraphAssembler::ApplyVocab(const std::string& line) {
+util::Status GraphAssembler::ApplyVocab(std::string_view line) {
   // "V L <name>" / "V K <name>"; the name is the rest of the line, unescaped,
   // so label names with spaces survive.
   if (line.size() < 5 || line[1] != ' ' || line[3] != ' ' ||
       (line[2] != 'L' && line[2] != 'K')) {
-    return util::Status::ParseError("bad vocab line '" + line + "'");
+    return util::Status::ParseError("bad vocab line '" + std::string(line) +
+                                    "'");
   }
   const std::string name = pg::UnescapeField(line.substr(4));
   if (line[2] == 'L') {
@@ -154,87 +162,76 @@ util::Status GraphAssembler::ApplyVocab(const std::string& line) {
   return util::Status::Ok();
 }
 
-util::Status GraphAssembler::MaterializeNode(const std::string& line,
+util::Status GraphAssembler::MaterializeNode(std::string_view line,
                                              bool member,
                                              pg::GraphBatch* batch) {
   if (!sized_) {
     return util::Status::FailedPrecondition(
         "node record before the G header");
   }
-  // R lines share the node-line shape; normalize the tag for the parser.
-  std::string node_line = line;
-  node_line[0] = 'N';
-  auto parsed = pg::ParseElementLine(node_line);
-  if (!parsed.ok()) return parsed.status();
-  const pg::ElementRecord& record = *parsed;
-  if (record.id >= node_filled_.size()) {
-    return util::Status::OutOfRange("node id " + std::to_string(record.id) +
+  // N and R lines share the node-line shape; only the tag differs.
+  auto split = pg::SplitElementLine(line, member ? 'N' : 'R');
+  if (!split.ok()) return split.status();
+  const pg::ElementLine& fields = *split;
+  if (fields.id >= node_filled_.size()) {
+    return util::Status::OutOfRange("node id " + std::to_string(fields.id) +
                                     " outside the declared graph");
   }
-  if (node_filled_[record.id]) {
+  if (node_filled_[fields.id]) {
     return util::Status::FailedPrecondition(
-        "node " + std::to_string(record.id) + " materialized twice");
+        "node " + std::to_string(fields.id) + " materialized twice");
   }
-  std::vector<pg::LabelId> labels;
-  labels.reserve(record.labels.size());
-  for (const std::string& name : record.labels) {
-    labels.push_back(graph_->vocab().InternLabel(name));
-  }
+  std::vector<pg::LabelId> labels =
+      pg::InternLabelField(fields.labels, &graph_->vocab());
   pg::NormalizeLabels(&labels);
-  graph_->node(record.id).labels = std::move(labels);
-  for (const auto& [key, value] : record.properties) {
-    graph_->SetNodeProperty(record.id, key, value);
-  }
-  node_filled_[record.id] = true;
+  pg::Node& node = graph_->node(fields.id);
+  node.labels = std::move(labels);
+  pg::ApplyPropsField(fields.props, &graph_->vocab(), &node.properties);
+  node_filled_[fields.id] = true;
   ++nodes_filled_;
-  if (member) batch->node_ids.push_back(record.id);
+  if (member) batch->node_ids.push_back(fields.id);
   return util::Status::Ok();
 }
 
-util::Status GraphAssembler::MaterializeEdge(const std::string& line,
+util::Status GraphAssembler::MaterializeEdge(std::string_view line,
                                              pg::GraphBatch* batch) {
   if (!sized_) {
     return util::Status::FailedPrecondition(
         "edge record before the G header");
   }
-  auto parsed = pg::ParseElementLine(line);
-  if (!parsed.ok()) return parsed.status();
-  const pg::ElementRecord& record = *parsed;
-  if (record.id >= edge_filled_.size()) {
-    return util::Status::OutOfRange("edge id " + std::to_string(record.id) +
+  auto split = pg::SplitElementLine(line);
+  if (!split.ok()) return split.status();
+  const pg::ElementLine& fields = *split;
+  if (fields.id >= edge_filled_.size()) {
+    return util::Status::OutOfRange("edge id " + std::to_string(fields.id) +
                                     " outside the declared graph");
   }
-  if (edge_filled_[record.id]) {
+  if (edge_filled_[fields.id]) {
     return util::Status::FailedPrecondition(
-        "edge " + std::to_string(record.id) + " materialized twice");
+        "edge " + std::to_string(fields.id) + " materialized twice");
   }
-  if (record.src >= node_filled_.size() || record.dst >= node_filled_.size()) {
+  if (fields.src >= node_filled_.size() || fields.dst >= node_filled_.size()) {
     return util::Status::OutOfRange("edge endpoint outside the graph");
   }
-  if (!node_filled_[record.src] || !node_filled_[record.dst]) {
+  if (!node_filled_[fields.src] || !node_filled_[fields.dst]) {
     // Discovery embeds endpoint labels when it processes the edge, so an
     // unmaterialized endpoint would silently change the schema. The client
     // always sends R records first; reaching this means a broken client.
     return util::Status::FailedPrecondition(
-        "edge " + std::to_string(record.id) +
+        "edge " + std::to_string(fields.id) +
         " references an unmaterialized endpoint");
   }
-  std::vector<pg::LabelId> labels;
-  labels.reserve(record.labels.size());
-  for (const std::string& name : record.labels) {
-    labels.push_back(graph_->vocab().InternLabel(name));
-  }
+  std::vector<pg::LabelId> labels =
+      pg::InternLabelField(fields.labels, &graph_->vocab());
   pg::NormalizeLabels(&labels);
-  pg::Edge& edge = graph_->edge(record.id);
-  edge.src = record.src;
-  edge.dst = record.dst;
+  pg::Edge& edge = graph_->edge(fields.id);
+  edge.src = fields.src;
+  edge.dst = fields.dst;
   edge.labels = std::move(labels);
-  for (const auto& [key, value] : record.properties) {
-    graph_->SetEdgeProperty(record.id, key, value);
-  }
-  edge_filled_[record.id] = true;
+  pg::ApplyPropsField(fields.props, &graph_->vocab(), &edge.properties);
+  edge_filled_[fields.id] = true;
   ++edges_filled_;
-  batch->edge_ids.push_back(record.id);
+  batch->edge_ids.push_back(fields.id);
   return util::Status::Ok();
 }
 
@@ -244,14 +241,12 @@ std::string GraphAssembler::AssembledPayload() const {
                     std::to_string(edge_filled_.size()) + '\n';
   for (size_t id = 0; id < node_filled_.size(); ++id) {
     if (!node_filled_[id]) continue;
-    std::string line = pg::FormatNodeLine(*graph_, graph_->node(id));
-    line[0] = 'R';
-    out += line;
+    pg::AppendNodeLine(*graph_, graph_->node(id), 'R', &out);
     out += '\n';
   }
   for (size_t id = 0; id < edge_filled_.size(); ++id) {
     if (!edge_filled_[id]) continue;
-    out += pg::FormatEdgeLine(*graph_, graph_->edge(id));
+    pg::AppendEdgeLine(*graph_, graph_->edge(id), &out);
     out += '\n';
   }
   return out;

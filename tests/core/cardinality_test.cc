@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
+#include "util/rng.h"
+
 namespace pghive::core {
 namespace {
 
@@ -104,6 +110,48 @@ TEST(CardinalityTest, BoundsAreSoundUpperBounds) {
   Cardinality c = CardinalityForEdges(f.graph, edges);
   EXPECT_EQ(c.max_out, 2u);  // person0 -> {1,2}.
   EXPECT_EQ(c.max_in, 2u);   // person1 <- {0,3}.
+}
+
+// The flat pass agrees with a direct set-per-endpoint count on random edge
+// subsets, parallel edges and self-loops included, and per type when one
+// ComputeCardinalities call reuses its buffers across types.
+TEST(CardinalityTest, MatchesSetCountingReference) {
+  util::Rng rng(77);
+  for (int round = 0; round < 50; ++round) {
+    pg::PropertyGraph graph;
+    const size_t nodes = 1 + rng.NextBounded(40);
+    for (size_t i = 0; i < nodes; ++i) graph.AddNode({"N"});
+    SchemaGraph schema;
+    std::vector<Cardinality> expected;
+    for (size_t t = rng.NextBounded(4); t > 0; --t) {
+      EdgeType type;
+      std::map<pg::NodeId, std::set<pg::NodeId>> out, in;
+      for (size_t e = rng.NextBounded(60); e > 0; --e) {
+        const pg::NodeId src = rng.NextBounded(nodes);
+        const pg::NodeId dst = rng.NextBounded(nodes);
+        type.instances.push_back(graph.AddEdge(src, dst, {"R"}));
+        out[src].insert(dst);
+        in[dst].insert(src);
+      }
+      Cardinality want;
+      for (const auto& [node, set] : out) {
+        want.max_out = std::max(want.max_out, set.size());
+      }
+      for (const auto& [node, set] : in) {
+        want.max_in = std::max(want.max_in, set.size());
+      }
+      want.kind = ClassifyCardinality(want.max_out, want.max_in);
+      expected.push_back(want);
+      schema.edge_types().push_back(type);
+    }
+    ComputeCardinalities(graph, &schema);
+    for (size_t t = 0; t < expected.size(); ++t) {
+      const Cardinality& got = schema.edge_types()[t].cardinality;
+      EXPECT_EQ(got.max_out, expected[t].max_out) << round << "/" << t;
+      EXPECT_EQ(got.max_in, expected[t].max_in) << round << "/" << t;
+      EXPECT_EQ(got.kind, expected[t].kind) << round << "/" << t;
+    }
+  }
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // digest of every rendered form of the schema (strict and loose .pgs, .xsd,
 // DescribeSchema, the PGHB binary and the full-schema PGHF diff record) for
 // every zoo dataset x {ELSH, MinHash} x {1, 4} batches at scale 0.04 (where
-// Word2Vec stays finite). A change that alters discovery output on purpose
+// Word2Vec stays finite), plus one of the input graph's SaveGraphText bytes,
+// which pins the graph-text writer. A change that alters discovery output on purpose
 // re-records the table as an explicit, reviewed step:
 //
 //   PGHIVE_RECORD_GOLDEN=1 ./build/tests/pghive_core_tests
@@ -64,8 +65,8 @@ std::string ReadFile(const std::string& path) {
 }
 
 // One digest per rendered form, in the column order of the table file.
-constexpr const char* kColumns[] = {"pgs",      "xsd",    "pgs_loose",
-                                    "describe", "binary", "diff"};
+constexpr const char* kColumns[] = {"pgs",    "xsd",  "pgs_loose", "describe",
+                                    "binary", "diff", "graph_text"};
 using Digest = std::array<std::string, std::size(kColumns)>;
 
 // One case of the table, as its line key: "<dataset> <method> <batches>".
@@ -73,6 +74,7 @@ Digest DiscoverDigest(const datasets::DatasetSpec& spec, ClusterMethod method,
                       size_t num_batches) {
   datasets::Dataset dataset =
       datasets::Generate(spec, /*scale=*/0.04, /*seed=*/42);
+  const std::string graph_text = pg::SaveGraphText(dataset.graph);
   PgHiveOptions options;
   options.method = method;
   options.num_threads = 2;
@@ -95,7 +97,8 @@ Digest DiscoverDigest(const datasets::DatasetSpec& spec, ClusterMethod method,
       Hex(Fnv1a64(DescribeSchema(schema, vocab))),
       Hex(Fnv1a64(SerializeSchemaBinary(schema))),
       Hex(Fnv1a64(SerializeSchemaDiffBinary(
-          DiffSchemas(SchemaGraph(), schema, vocab))))};
+          DiffSchemas(SchemaGraph(), schema, vocab)))),
+      Hex(Fnv1a64(graph_text))};
 }
 
 std::map<std::string, Digest> ComputeTable() {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "pg/graph_io.h"
 
@@ -151,6 +154,53 @@ TEST(GeneratorTest, MixedRateProducesOffTypeValues) {
   ASSERT_GT(total, 100u);
   EXPECT_NEAR(static_cast<double>(strings) / total, 0.3, 0.1);
   EXPECT_EQ(ints + strings, total);
+}
+
+// Saved zoo graph text reloads into the same graph: the same labels and the
+// same typed property values, so saving the reload gives the same bytes.
+TEST(GeneratorTest, ZooGraphTextReloadsIdentically) {
+  // Labels and keys by name: the reload interns them in line order.
+  auto labels = [](const pg::PropertyGraph& g,
+                   const std::vector<pg::LabelId>& ids) {
+    std::vector<std::string> out;
+    for (pg::LabelId l : ids) out.push_back(g.vocab().LabelName(l));
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  // Values as their rendering re-probes: graph text keeps a float to '%g',
+  // so 216.0005 reloads as the integer 216.
+  auto props = [](const pg::PropertyGraph& g, const pg::PropertyMap& map) {
+    std::map<std::string, pg::Value> out;
+    for (const auto& [k, v] : map.entries()) {
+      out.emplace(g.vocab().KeyName(k), pg::ParseValueLiteral(v.ToString()));
+    }
+    return out;
+  };
+  for (const DatasetSpec& spec : Zoo()) {
+    Dataset dataset = Generate(spec, 0.05, 3);
+    const pg::PropertyGraph& want = dataset.graph;
+    const std::string text = pg::SaveGraphText(want);
+    auto loaded = pg::LoadGraphText(text);
+    ASSERT_TRUE(loaded.ok()) << spec.name << ": " << loaded.status().ToString();
+    const pg::PropertyGraph& got = *loaded;
+    EXPECT_EQ(pg::SaveGraphText(got), text) << spec.name;
+    ASSERT_EQ(got.num_nodes(), want.num_nodes()) << spec.name;
+    ASSERT_EQ(got.num_edges(), want.num_edges()) << spec.name;
+    for (pg::NodeId id = 0; id < got.num_nodes(); ++id) {
+      EXPECT_EQ(labels(got, got.node(id).labels),
+                labels(want, want.node(id).labels));
+      EXPECT_TRUE(props(got, got.node(id).properties) ==
+                  props(want, want.node(id).properties))
+          << spec.name << " node " << id;
+    }
+    for (pg::EdgeId id = 0; id < got.num_edges(); ++id) {
+      EXPECT_EQ(labels(got, got.edge(id).labels),
+                labels(want, want.edge(id).labels));
+      EXPECT_TRUE(props(got, got.edge(id).properties) ==
+                  props(want, want.edge(id).properties))
+          << spec.name << " edge " << id;
+    }
+  }
 }
 
 }  // namespace

@@ -113,6 +113,35 @@ TEST(ParseCsvValueTest, TypedParsing) {
   EXPECT_TRUE(ParseCsvValue("anything", "").is_string());
 }
 
+TEST(ParseCsvValueTest, OutOfRangeNumbersStayStringsAndDenormalsParse) {
+  const Value big = ParseCsvValue("99999999999999999999", "int");
+  ASSERT_TRUE(big.is_string());
+  EXPECT_EQ(big.AsString(), "99999999999999999999");
+  EXPECT_EQ(ParseCsvValue("+42", "long").AsInt(), 42);
+  EXPECT_EQ(ParseCsvValue("-9223372036854775808", "int").AsInt(), INT64_MIN);
+  EXPECT_TRUE(ParseCsvValue("9223372036854775808", "int").is_string());
+  const Value tiny = ParseCsvValue("4e-320", "float");
+  ASSERT_TRUE(tiny.is_float());
+  EXPECT_GT(tiny.AsFloat(), 0.0);
+  EXPECT_TRUE(ParseCsvValue("1e999", "double").is_string());
+  EXPECT_TRUE(ParseCsvValue(std::string(400, '9'), "double").is_string());
+  EXPECT_EQ(ParseCsvValue("99999999999999999999", "double").AsFloat(), 1e20);
+  EXPECT_EQ(ParseCsvValue("+5", "float").AsFloat(), 5.0);
+}
+
+TEST(CsvImportTest, OutOfRangeIntCellImportsAsString) {
+  util::CsvTable table;
+  table.header = {"id:ID", "v:int"};
+  table.rows = {{"a", "99999999999999999999"}, {"b", "7"}};
+  CsvGraphImporter importer;
+  ASSERT_TRUE(importer.AddNodeTable(table).ok());
+  PropertyGraph g = importer.TakeGraph();
+  const PropKeyId v = g.vocab().FindKey("v");
+  ASSERT_NE(v, UINT32_MAX);
+  EXPECT_TRUE(g.node(0).properties.Get(v)->is_string());
+  EXPECT_EQ(g.node(1).properties.Get(v)->AsInt(), 7);
+}
+
 TEST(ParseCsvValueTest, MalformedTypedCellsFallBackToString) {
   EXPECT_TRUE(ParseCsvValue("not-a-number", "int").is_string());
   EXPECT_TRUE(ParseCsvValue("maybe", "boolean").is_string());

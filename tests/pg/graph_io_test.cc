@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <string>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace pghive::pg {
 namespace {
@@ -95,6 +102,225 @@ TEST(GraphIoTest, MissingFileIsIoError) {
   auto result = LoadGraphFile("/nonexistent/graph.pg");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kIoError);
+}
+
+const Value* NodeValue(const PropertyGraph& g, NodeId id,
+                       const std::string& key) {
+  const PropKeyId k = g.vocab().FindKey(key);
+  return k == UINT32_MAX ? nullptr : g.node(id).properties.Get(k);
+}
+
+TEST(GraphIoTest, OutOfRangeIntegerLiteralStaysString) {
+  auto loaded =
+      LoadGraphText("N 0 A v=99999999999999999999;w=-9223372036854775808\n");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Value* v = NodeValue(*loaded, 0, "v");
+  ASSERT_NE(v, nullptr);
+  ASSERT_TRUE(v->is_string());
+  EXPECT_EQ(v->AsString(), "99999999999999999999");
+  const Value* w = NodeValue(*loaded, 0, "w");
+  ASSERT_NE(w, nullptr);
+  ASSERT_TRUE(w->is_int());
+  EXPECT_EQ(w->AsInt(), INT64_MIN);
+}
+
+TEST(GraphIoTest, DenormalFloatLiteralParses) {
+  auto loaded = LoadGraphText("N 0 A v=4e-320;w=1e999\n");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Value* v = NodeValue(*loaded, 0, "v");
+  ASSERT_NE(v, nullptr);
+  ASSERT_TRUE(v->is_float());
+  EXPECT_GT(v->AsFloat(), 0.0);
+  EXPECT_LT(v->AsFloat(), 1e-300);
+  // Beyond a double's range: kept as the string it is.
+  const Value* w = NodeValue(*loaded, 0, "w");
+  ASSERT_NE(w, nullptr);
+  EXPECT_TRUE(w->is_string());
+}
+
+TEST(GraphIoTest, ProbesLiteralsInDocumentedOrder) {
+  auto loaded = LoadGraphText(
+      "N 0 A a=null;b=+7;c=-2.5e3;d=true;e=TRUE;f=2020-01-02;g=x1\n");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(NodeValue(*loaded, 0, "a")->is_null());
+  EXPECT_EQ(NodeValue(*loaded, 0, "b")->AsInt(), 7);
+  EXPECT_EQ(NodeValue(*loaded, 0, "c")->AsFloat(), -2500.0);
+  EXPECT_TRUE(NodeValue(*loaded, 0, "d")->AsBool());
+  EXPECT_EQ(NodeValue(*loaded, 0, "e")->AsString(), "TRUE");
+  EXPECT_EQ(NodeValue(*loaded, 0, "f")->AsString(), "2020-01-02");
+  EXPECT_EQ(NodeValue(*loaded, 0, "g")->AsString(), "x1");
+}
+
+TEST(GraphIoTest, RoundTripKeepsWhitespaceInValues) {
+  PropertyGraph g;
+  NodeId n = g.AddNode({"Person"});
+  g.SetNodeProperty(n, "name", Value("John Smith"));
+  g.SetNodeProperty(n, "zz", Value("x"));
+  g.SetNodeProperty(n, "tabbed", Value("a\tb\r\v\f c"));
+  auto loaded = LoadGraphText(SaveGraphText(g));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(NodeValue(*loaded, 0, "name")->AsString(), "John Smith");
+  ASSERT_NE(NodeValue(*loaded, 0, "zz"), nullptr);
+  EXPECT_EQ(NodeValue(*loaded, 0, "zz")->AsString(), "x");
+  EXPECT_EQ(NodeValue(*loaded, 0, "tabbed")->AsString(), "a\tb\r\v\f c");
+}
+
+TEST(GraphIoTest, RoundTripKeepsLoneDashAndPipeLabels) {
+  PropertyGraph g;
+  g.AddNode({"-"});
+  g.AddNode({"-", "A|B"});
+  auto loaded = LoadGraphText(SaveGraphText(g));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->node(0).labels.size(), 1u);
+  EXPECT_EQ(loaded->vocab().LabelName(loaded->node(0).labels[0]), "-");
+  ASSERT_EQ(loaded->node(1).labels.size(), 2u);
+  EXPECT_NE(loaded->vocab().FindLabel("A|B"), UINT32_MAX);
+}
+
+TEST(GraphIoTest, InternsLabelsAndKeysInFirstSeenLineOrder) {
+  auto loaded = LoadGraphText("N 0 B|A k2=1;k1=2\nN 1 C|A k0=3;k1=4\n");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Vocabulary& vocab = loaded->vocab();
+  ASSERT_EQ(vocab.num_labels(), 3u);
+  EXPECT_EQ(vocab.LabelName(0), "B");
+  EXPECT_EQ(vocab.LabelName(1), "A");
+  EXPECT_EQ(vocab.LabelName(2), "C");
+  ASSERT_EQ(vocab.num_keys(), 3u);
+  EXPECT_EQ(vocab.KeyName(0), "k2");
+  EXPECT_EQ(vocab.KeyName(1), "k1");
+  EXPECT_EQ(vocab.KeyName(2), "k0");
+  // Labels are stored sorted by id.
+  EXPECT_EQ(loaded->node(0).labels, (std::vector<LabelId>{0, 1}));
+}
+
+TEST(GraphIoTest, TrailingTokenIsAParseErrorNamingTheLine) {
+  auto result = LoadGraphText("N 0 A a=1\nN 1 A name=John Smith\n");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kParseError);
+  EXPECT_NE(result.status().message().find("trailing token 'Smith'"),
+            std::string::npos)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("line 2"), std::string::npos)
+      << result.status().ToString();
+}
+
+TEST(GraphIoTest, MalformedLinesNameTheirLine) {
+  for (const char* text :
+       {"N 0 A\nN x A\n", "N 0 A\nN 1\n", "N 0 A\nE 0 0\n",
+        "N 0 A\nE 0 0 -1 R\n", "N 0 A\nN 2 A\n", "N 0 A\nQ 1 A\n",
+        "N 0 A\nNN 1 A\n", "N 0 A\nN 99999999999999999999999 A\n"}) {
+    auto result = LoadGraphText(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.status().code(), util::StatusCode::kParseError) << text;
+    EXPECT_NE(result.status().message().find("line 2"), std::string::npos)
+        << result.status().ToString();
+  }
+}
+
+TEST(GraphIoTest, AcceptsCrlfLineEndingsAndIndentation) {
+  auto result = LoadGraphText("N 0 A a=1\r\n  N 1 B\r\nE 0 0 1 R\r\n");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->num_nodes(), 2u);
+  EXPECT_EQ(result->num_edges(), 1u);
+  EXPECT_EQ(NodeValue(*result, 0, "a")->AsInt(), 1);
+}
+
+// The writer renders floats like Value::ToString ('%g').
+TEST(GraphIoTest, FloatRenderingMatchesValueToString) {
+  util::Rng rng(11);
+  std::vector<double> values = {0.0,   -0.0,  1.0,     0.1,    1e-5,
+                                1e-4,  1e15,  123456.5, 1234567.0,
+                                -2.5,  5e-324, 1.7976931348623157e308,
+                                HUGE_VAL, -HUGE_VAL, std::nan("")};
+  for (int i = 0; i < 2000; ++i) {
+    uint64_t bits = rng.NextU64();
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    values.push_back(d);
+    values.push_back(rng.NextDouble() * 1000.0 + 0.5);
+  }
+  for (double d : values) {
+    PropertyGraph g;
+    NodeId n = g.AddNode({"A"});
+    g.SetNodeProperty(n, "f", Value(d));
+    EXPECT_EQ(SaveGraphText(g), "N 0 A f=" + Value(d).ToString() + "\n");
+  }
+}
+
+// A seeded round trip over names and values drawn from the characters the
+// format must escape. String values that re-probe as literals ("12",
+// "null", ...) are left out: they reload typed, as README documents.
+TEST(GraphIoTest, RandomNamesAndValuesRoundTrip) {
+  static constexpr char kAlphabet[] = " \t\\;=|\n-ab1.e";
+  util::Rng rng(2024);
+  auto draw = [&](size_t min_len) {
+    std::string s;
+    const size_t len = min_len + rng.NextBounded(6);
+    for (size_t i = 0; i < len; ++i) {
+      s.push_back(kAlphabet[rng.NextBounded(sizeof(kAlphabet) - 1)]);
+    }
+    return s;
+  };
+  for (int round = 0; round < 200; ++round) {
+    PropertyGraph g;
+    const size_t nodes = 1 + rng.NextBounded(4);
+    for (size_t i = 0; i < nodes; ++i) {
+      std::vector<std::string> labels;
+      for (size_t l = rng.NextBounded(3); l > 0; --l) labels.push_back(draw(1));
+      const NodeId n = g.AddNode(labels);
+      for (size_t p = rng.NextBounded(4); p > 0; --p) {
+        std::string value = draw(0);
+        if (!ParseValueLiteral(value).is_string()) continue;
+        g.SetNodeProperty(n, draw(0), Value(value));
+      }
+    }
+    for (size_t i = rng.NextBounded(4); i > 0; --i) {
+      const EdgeId e = g.AddEdge(rng.NextBounded(nodes), rng.NextBounded(nodes),
+                                 {draw(1)});
+      const std::string value = draw(0);
+      if (ParseValueLiteral(value).is_string()) {
+        g.SetEdgeProperty(e, draw(0), Value(value));
+      }
+    }
+    const std::string text = SaveGraphText(g);
+    auto loaded = LoadGraphText(text);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString() << "\n" << text;
+    const PropertyGraph& h = *loaded;
+    ASSERT_EQ(h.num_nodes(), g.num_nodes()) << text;
+    ASSERT_EQ(h.num_edges(), g.num_edges()) << text;
+    // Labels and keys compare by name: the reload interns in line order.
+    auto names = [](const PropertyGraph& graph,
+                    const std::vector<LabelId>& ids) {
+      std::vector<std::string> out;
+      for (LabelId l : ids) out.push_back(graph.vocab().LabelName(l));
+      std::sort(out.begin(), out.end());
+      return out;
+    };
+    auto props = [](const PropertyGraph& graph, const PropertyMap& map) {
+      std::vector<std::pair<std::string, std::string>> out;
+      for (const auto& [k, v] : map.entries()) {
+        out.emplace_back(graph.vocab().KeyName(k), v.AsString());
+      }
+      std::sort(out.begin(), out.end());
+      return out;
+    };
+    for (NodeId id = 0; id < g.num_nodes(); ++id) {
+      EXPECT_EQ(names(h, h.node(id).labels), names(g, g.node(id).labels))
+          << text;
+      EXPECT_EQ(props(h, h.node(id).properties),
+                props(g, g.node(id).properties))
+          << text;
+    }
+    for (EdgeId id = 0; id < g.num_edges(); ++id) {
+      EXPECT_EQ(h.edge(id).src, g.edge(id).src);
+      EXPECT_EQ(h.edge(id).dst, g.edge(id).dst);
+      EXPECT_EQ(names(h, h.edge(id).labels), names(g, g.edge(id).labels))
+          << text;
+      EXPECT_EQ(props(h, h.edge(id).properties),
+                props(g, g.edge(id).properties))
+          << text;
+    }
+  }
 }
 
 }  // namespace

@@ -171,5 +171,28 @@ TEST(DataTypeNameTest, Names) {
   EXPECT_STREQ(DataTypeName(DataType::kString), "STRING");
 }
 
+// The literal parsers never throw: a literal beyond its type's range is
+// "not a literal of that type" (nullopt), and a denormal double parses.
+TEST(LiteralParseTest, IntegersInAndOutOfRange) {
+  EXPECT_EQ(ParseIntegerLiteral("+42"), 42);
+  EXPECT_EQ(ParseIntegerLiteral("-9223372036854775808"), INT64_MIN);
+  EXPECT_EQ(ParseIntegerLiteral("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(ParseIntegerLiteral("9223372036854775808"), std::nullopt);
+  EXPECT_EQ(ParseIntegerLiteral("99999999999999999999"), std::nullopt);
+  EXPECT_EQ(ParseIntegerLiteral("1.5"), std::nullopt);
+  EXPECT_EQ(ParseIntegerLiteral("+"), std::nullopt);
+}
+
+TEST(LiteralParseTest, FloatsIncludingDenormalsAndIntegers) {
+  EXPECT_EQ(ParseFloatLiteral("2.5"), 2.5);
+  EXPECT_EQ(ParseFloatLiteral("+7"), 7.0);
+  EXPECT_EQ(ParseFloatLiteral("99999999999999999999"), 1e20);
+  ASSERT_TRUE(ParseFloatLiteral("4e-320").has_value());
+  EXPECT_GT(*ParseFloatLiteral("4e-320"), 0.0);
+  EXPECT_EQ(ParseFloatLiteral("1e999"), std::nullopt);
+  EXPECT_EQ(ParseFloatLiteral("abc"), std::nullopt);
+  EXPECT_EQ(ParseFloatLiteral("inf"), std::nullopt);
+}
+
 }  // namespace
 }  // namespace pghive::pg

@@ -182,6 +182,27 @@ TEST(SessionTest, BadPayloadLatchesErrorAndRejectsFurtherIngest) {
   EXPECT_FALSE((*session)->FinalSnapshot().ok());
 }
 
+// An integer literal beyond int64 loads as a string; it once escaped the
+// ingest job as an exception, which left the session without a snapshot.
+TEST(SessionTest, OutOfRangeLiteralPayloadPublishesVersionOne) {
+  util::ThreadPool pool(2);
+  SessionManager manager(&pool);
+  auto session = manager.CreateSession({});
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE((*session)
+                  ->SubmitIngest("G 2 0\nN 0 A v=99999999999999999999\n"
+                                 "N 1 A v=4e-320\n")
+                  .ok());
+  (*session)->Drain();
+  EXPECT_TRUE((*session)->status().ok()) << (*session)->status().ToString();
+  auto snapshot = (*session)->Snapshot();
+  ASSERT_NE(snapshot, nullptr);
+  EXPECT_EQ(snapshot->version, 1u);
+  EXPECT_EQ(snapshot->batches, 1u);
+  auto final_snapshot = (*session)->FinalSnapshot();
+  EXPECT_TRUE(final_snapshot.ok()) << final_snapshot.status().ToString();
+}
+
 TEST(SessionTest, FinalSnapshotFailsOnIncompleteStream) {
   SessionManager manager(nullptr);
   auto session = manager.CreateSession({});
