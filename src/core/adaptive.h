@@ -2,6 +2,7 @@
 #define PGHIVE_CORE_ADAPTIVE_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "core/vectorizer.h"
 
@@ -44,12 +45,31 @@ AdaptiveChoice ChooseEdgeParams(const FeatureMatrix& features,
                                 size_t num_distinct_labels,
                                 const AdaptiveOptions& options = {});
 
+/// Pattern forms: the track's N rows given as its distinct pattern rows
+/// plus the row -> pattern map, so row i's vector is
+/// patterns.row(row_pattern[i]). They sample the same N row indices as the
+/// dense forms above (which are these with the identity map), so mu, b and
+/// T are bit-identical to a choice over the expanded matrix.
+AdaptiveChoice ChooseNodeParams(const FeatureMatrix& patterns,
+                                const std::vector<uint32_t>& row_pattern,
+                                size_t num_distinct_labels,
+                                const AdaptiveOptions& options = {});
+AdaptiveChoice ChooseEdgeParams(const FeatureMatrix& patterns,
+                                const std::vector<uint32_t>& row_pattern,
+                                size_t num_distinct_labels,
+                                const AdaptiveOptions& options = {});
+
 /// The label-count factor alpha (exposed for tests).
 double AlphaForLabelCount(size_t num_labels);
 
 /// Mean Euclidean distance over up to `pairs` random row pairs.
 double EstimateDistanceScale(const FeatureMatrix& features, size_t pairs,
                              size_t max_sample, uint64_t seed);
+
+/// Pattern form: the rows are patterns.row(row_pattern[i]), i < N.
+double EstimateDistanceScale(const FeatureMatrix& patterns,
+                             const std::vector<uint32_t>& row_pattern,
+                             size_t pairs, size_t max_sample, uint64_t seed);
 
 }  // namespace pghive::core
 

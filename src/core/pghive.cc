@@ -75,7 +75,7 @@ constexpr TrackSeeds kEdgeSeeds{0x21, 0x22, 0xE25, 0x527};
 }  // namespace
 
 lsh::ClusterSet PgHive::ClusterTrack(Track track, const pg::GraphBatch& batch,
-                                     const FeatureMatrix& features,
+                                     const FeatureMatrix& patterns,
                                      Vectorizer* vectorizer) {
   const bool nodes = track == Track::kNodes;
   const bool elsh = options_.method == ClusterMethod::kElsh;
@@ -86,8 +86,14 @@ lsh::ClusterSet PgHive::ClusterTrack(Track track, const pg::GraphBatch& batch,
     aopts.seed =
         options_.seed ^ (elsh ? seeds.elsh_adaptive : seeds.minhash_adaptive);
     const size_t num_labels = graph_->vocab().num_labels();
-    choice = nodes ? ChooseNodeParams(features, num_labels, aopts)
-                   : ChooseEdgeParams(features, num_labels, aopts);
+    // The choice samples batch rows through the row -> pattern map, so it
+    // sees the N-row population the paper's heuristic is defined on.
+    const std::vector<uint32_t>& row_pattern =
+        (nodes ? vectorizer->NodeColumns(batch)
+               : vectorizer->EdgeColumns(batch))
+            .pattern_ids();
+    choice = nodes ? ChooseNodeParams(patterns, row_pattern, num_labels, aopts)
+                   : ChooseEdgeParams(patterns, row_pattern, num_labels, aopts);
     if (elsh) choice.bucket_length *= options_.alpha_scale;
   } else {
     if (elsh) choice.bucket_length = options_.bucket_length;
@@ -101,8 +107,8 @@ lsh::ClusterSet PgHive::ClusterTrack(Track track, const pg::GraphBatch& batch,
     params.num_tables = std::max<size_t>(1, choice.num_tables);
     params.seed = options_.seed ^ seeds.elsh;
     params.amplification = options_.amplification;
-    lsh::EuclideanLsh hasher(features.dim, params);
-    return hasher.Cluster(features.data, features.num, pool_);
+    lsh::EuclideanLsh hasher(patterns.dim, params);
+    return hasher.Cluster(patterns.data, patterns.num, pool_);
   }
   // MinHash clusters the element sets, not the feature rows.
   lsh::MinHashParams params;
@@ -112,8 +118,8 @@ lsh::ClusterSet PgHive::ClusterTrack(Track track, const pg::GraphBatch& batch,
   params.seed = options_.seed ^ seeds.minhash;
   params.amplification = options_.amplification;
   lsh::MinHashLsh hasher(params);
-  ElementSetCsr csr =
-      nodes ? vectorizer->NodeSetSpans(batch) : vectorizer->EdgeSetSpans(batch);
+  ElementSetCsr csr = nodes ? vectorizer->NodePatternSets(batch)
+                            : vectorizer->EdgePatternSets(batch);
   return hasher.Cluster(
       lsh::SetSpans{csr.elements.data(), csr.offsets.data(), csr.num()},
       pool_);
@@ -131,11 +137,12 @@ PgHive::PreparedBatch PgHive::PreprocessBatch(pg::GraphBatch batch) {
   const pg::GraphBatch& b = prepared.batch;
 
   // (b) Preprocess: train/refresh the label embedding on this batch, then
-  // build representation vectors. Everything that advances cross-batch state
-  // happens here, in a fixed order: the vectorizer's column builds and its
-  // intern pre-passes assign label-set token ids, and Train continues the incremental Word2Vec model — so as
-  // long as batches preprocess in order, ids and weights are identical
-  // whether or not later stages overlap.
+  // build one representation vector per structural pattern. Everything that
+  // advances cross-batch state happens here, in a fixed order: the
+  // vectorizer's column builds assign label-set token ids, and Train
+  // continues the incremental Word2Vec model — so as long as batches
+  // preprocess in order, ids and weights are identical whether or not later
+  // stages overlap.
   prepared.vectorizer =
       std::make_unique<Vectorizer>(graph_, embedder_.get(), pool_);
   if (word2vec_ != nullptr) {
@@ -148,12 +155,12 @@ PgHive::PreparedBatch PgHive::PreprocessBatch(pg::GraphBatch batch) {
     word2vec_->Train(embed::BuildLabelCorpus(*graph_, edge_cols, node_cols),
                      pool_);
   }
-  prepared.node_features = prepared.vectorizer->NodeFeatures(b);
-  prepared.edge_features = prepared.vectorizer->EdgeFeatures(b);
-  // The feature matrices snapshot the embedder, and the vectorizer's
-  // intern pre-passes (inside NodeFeatures/EdgeFeatures) snapshot the
-  // vocabulary into its token caches: after this point nothing downstream
-  // of this batch reads either, so the next batch is free to mutate both.
+  prepared.node_patterns = prepared.vectorizer->NodePatternFeatures(b);
+  prepared.edge_patterns = prepared.vectorizer->EdgePatternFeatures(b);
+  // The feature matrices snapshot the embedder, and the column stores
+  // (built at the latest inside the pattern producers) snapshot the
+  // vocabulary's tokens: after this point nothing downstream of this batch
+  // reads either, so the next batch is free to mutate both.
   prepared.preprocess_ms = timer.ElapsedMillis();
   return prepared;
 }
@@ -167,29 +174,30 @@ util::Status PgHive::ProcessPrepared(PreparedBatch prepared) {
   const pg::GraphBatch& batch = prepared.batch;
   util::Timer timer;
 
-  // (c) LSH clustering + candidate build. The node and edge tracks are
-  // independent: they write disjoint stats fields and share the graph and
-  // the prepared batch read-only — the vectorizer's pre-pass already cached
-  // every label-set token of the batch (including edge endpoint tokens), so
-  // the tracks run concurrently when a pool is available. Each track's inner
-  // loops also fan out on the pool (nested sections flatten into its queue).
+  // (c) LSH clustering + candidate build, both over the batch's structural
+  // patterns. The node and edge tracks are independent: they write disjoint
+  // stats fields and share the graph and the prepared batch read-only — the
+  // node and edge column stores are already built, with every label-set
+  // token of the batch (including edge endpoint tokens), and each track
+  // reads only its own — so the tracks run concurrently when a pool is
+  // available. Each track's inner loops also fan out on the pool (nested
+  // sections flatten into its queue).
   std::vector<CandidateType> node_candidates;
   std::vector<CandidateType> edge_candidates;
   auto track = [&](Track t, std::vector<CandidateType>* candidates) {
     const bool nodes = t == Track::kNodes;
     if ((nodes ? batch.node_ids : batch.edge_ids).empty()) return;
+    Vectorizer& vectorizer = *prepared.vectorizer;
     lsh::ClusterSet clusters = ClusterTrack(
-        t, batch, nodes ? prepared.node_features : prepared.edge_features,
-        prepared.vectorizer.get());
+        t, batch, nodes ? prepared.node_patterns : prepared.edge_patterns,
+        &vectorizer);
     (nodes ? last_stats_.node_clusters : last_stats_.edge_clusters) =
         clusters.num_clusters();
-    // EdgeEndpointTokens is a pure read of the cache EdgeFeatures warmed in
-    // PreprocessBatch — no vocabulary access on this side of the overlap.
     *candidates =
-        nodes ? BuildNodeCandidates(*graph_, batch, clusters)
-              : BuildEdgeCandidates(
-                    *graph_, batch, clusters,
-                    prepared.vectorizer->EdgeEndpointTokens(batch));
+        nodes ? BuildNodeCandidates(*graph_, vectorizer.NodeColumns(batch),
+                                    clusters)
+              : BuildEdgeCandidates(*graph_, vectorizer.EdgeColumns(batch),
+                                    clusters);
   };
   if (pool_ != nullptr) {
     std::future<void> edges_done =

@@ -147,16 +147,16 @@ class PgHive {
   util::Status ProcessBatch(pg::GraphBatch batch);
 
   /// The output of the preprocess stage, ready for cluster + extract. Owns
-  /// everything the later stages need (feature matrices, the vectorizer
-  /// with its warmed token caches — including the edge endpoint tokens the
-  /// candidate builder reads), so ProcessPrepared never touches the
-  /// vocabulary or the embedder — the two pieces of state the *next*
-  /// batch's PreprocessBatch mutates.
+  /// everything the later stages need (the per-pattern feature matrices,
+  /// the vectorizer with its warmed column stores — pattern ids and the
+  /// edge endpoint tokens the candidate builder reads), so ProcessPrepared
+  /// never touches the vocabulary or the embedder — the two pieces of state
+  /// the *next* batch's PreprocessBatch mutates.
   struct PreparedBatch {
     pg::GraphBatch batch;
     std::unique_ptr<Vectorizer> vectorizer;
-    FeatureMatrix node_features;
-    FeatureMatrix edge_features;
+    FeatureMatrix node_patterns;  ///< One row per node pattern.
+    FeatureMatrix edge_patterns;  ///< One row per edge pattern.
     double preprocess_ms = 0;  ///< Wall time of the preprocess stage.
   };
 
@@ -238,11 +238,12 @@ class PgHive {
  private:
   enum class Track { kNodes, kEdges };
 
-  // One clustering track: the adaptive (or manual) LSH parameter choice
-  // with the track's own seeds, recorded in last_stats_, then ELSH over the
-  // feature rows or MinHash over the element sets.
+  // One clustering track over the batch's structural patterns: the
+  // adaptive (or manual) LSH parameter choice with the track's own seeds,
+  // recorded in last_stats_, then ELSH over the pattern feature rows or
+  // MinHash over the pattern element sets. Returns one item per pattern.
   lsh::ClusterSet ClusterTrack(Track track, const pg::GraphBatch& batch,
-                               const FeatureMatrix& features,
+                               const FeatureMatrix& patterns,
                                Vectorizer* vectorizer);
 
   pg::PropertyGraph* graph_;

@@ -5,6 +5,7 @@
 #include <type_traits>
 #include <unordered_map>
 
+#include "core/vectorizer.h"
 #include "util/status.h"
 #include "util/union_find.h"
 
@@ -211,30 +212,44 @@ void ExtractTypes(std::vector<CandidateType> candidates,
   }
 }
 
-// The candidate builder for nodes and edges: cluster i's representative is
-// (union of labels, union of keys) over its members, with per-key presence
-// counts for the later constraint inference. `pattern_hash(i, element, keys,
-// &candidate)` adds member i's kind-specific evidence and returns the hash of
-// its pattern.
-template <typename ElementFn, typename PatternHashFn>
-std::vector<CandidateType> BuildCandidates(const std::vector<uint64_t>& ids,
-                                           const lsh::ClusterSet& clusters,
-                                           ElementFn element,
-                                           PatternHashFn pattern_hash) {
-  PGHIVE_CHECK(clusters.num_items() == ids.size());
+// The candidate builder for nodes and edges, folded per structural pattern:
+// cluster c's representative is (union of labels, union of keys) over its
+// member patterns, with per-key presence counts for the later constraint
+// inference. Pattern p stands for the rows i with row_pattern[i] == p, all
+// of which share the labels, keys and pattern hash of its representative
+// row pattern_rows[p], so its evidence is read once and weighted by its row
+// count. `pattern_evidence(p, element, keys, &candidate)` adds pattern p's
+// kind-specific evidence and returns the hash of its pattern. Instance ids
+// are appended in row order.
+template <typename ElementFn, typename PatternFn>
+std::vector<CandidateType> BuildCandidates(
+    const std::vector<uint64_t>& ids, const std::vector<uint32_t>& row_pattern,
+    const std::vector<uint32_t>& pattern_rows,
+    const lsh::ClusterSet& clusters, ElementFn element,
+    PatternFn pattern_evidence) {
+  PGHIVE_CHECK(row_pattern.size() == ids.size());
+  PGHIVE_CHECK(clusters.num_items() == pattern_rows.size());
+  std::vector<size_t> rows_of(pattern_rows.size(), 0);
+  for (const uint32_t p : row_pattern) ++rows_of[p];
   std::vector<CandidateType> candidates(clusters.num_clusters());
   std::vector<std::map<pg::PropKeyId, size_t>> counts(clusters.num_clusters());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    uint32_t c = clusters.cluster_of(i);
+  for (size_t p = 0; p < pattern_rows.size(); ++p) {
+    const uint32_t c = clusters.cluster_of(p);
+    const size_t i = pattern_rows[p];
     const auto& e = element(ids[i]);
     CandidateType& cand = candidates[c];
     cand.labels = UnionSorted(cand.labels, e.labels);
     auto keys = e.properties.Keys();
     cand.keys = UnionSorted(cand.keys, keys);
-    for (pg::PropKeyId k : keys) ++counts[c][k];
-    cand.instances.push_back(ids[i]);
-    ++cand.instance_count;
-    cand.pattern_hashes.push_back(pattern_hash(i, e, keys, &cand));
+    for (pg::PropKeyId k : keys) counts[c][k] += rows_of[p];
+    cand.instance_count += rows_of[p];
+    cand.pattern_hashes.push_back(pattern_evidence(p, e, keys, &cand));
+  }
+  for (CandidateType& cand : candidates) {
+    cand.instances.reserve(cand.instance_count);
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    candidates[clusters.cluster_of(row_pattern[i])].instances.push_back(ids[i]);
   }
   for (size_t c = 0; c < candidates.size(); ++c) {
     candidates[c].key_counts.assign(counts[c].begin(), counts[c].end());
@@ -242,6 +257,37 @@ std::vector<CandidateType> BuildCandidates(const std::vector<uint64_t>& ids,
     SortUnique(&candidates[c].endpoints);
   }
   return candidates;
+}
+
+std::vector<CandidateType> NodeCandidates(
+    const pg::PropertyGraph& graph, const std::vector<uint64_t>& ids,
+    const std::vector<uint32_t>& row_pattern,
+    const std::vector<uint32_t>& pattern_rows,
+    const lsh::ClusterSet& clusters) {
+  return BuildCandidates(
+      ids, row_pattern, pattern_rows, clusters,
+      [&](uint64_t id) -> const pg::Node& { return graph.node(id); },
+      [](size_t, const pg::Node& n, const std::vector<pg::PropKeyId>& keys,
+         CandidateType*) { return NodePattern{n.labels, keys}.Hash(); });
+}
+
+// `endpoints(p)` is pattern p's (src, dst) label-set token pair.
+template <typename EndpointsFn>
+std::vector<CandidateType> EdgeCandidates(
+    const pg::PropertyGraph& graph, const std::vector<uint64_t>& ids,
+    const std::vector<uint32_t>& row_pattern,
+    const std::vector<uint32_t>& pattern_rows,
+    const lsh::ClusterSet& clusters, EndpointsFn endpoints) {
+  return BuildCandidates(
+      ids, row_pattern, pattern_rows, clusters,
+      [&](uint64_t id) -> const pg::Edge& { return graph.edge(id); },
+      [&](size_t p, const pg::Edge& e, const std::vector<pg::PropKeyId>& keys,
+          CandidateType* cand) {
+        cand->endpoints.push_back(endpoints(p));
+        return EdgePattern{e.labels, keys, graph.node(e.src).labels,
+                           graph.node(e.dst).labels}
+            .Hash();
+      });
 }
 
 template <typename TypeT>
@@ -275,13 +321,28 @@ void MergeTypes(const std::vector<TypeT>& from,
 }  // namespace
 
 std::vector<CandidateType> BuildNodeCandidates(
+    const pg::PropertyGraph& graph, const pg::ColumnStore& cols,
+    const lsh::ClusterSet& pattern_clusters) {
+  return NodeCandidates(graph, cols.ids(), cols.pattern_ids(),
+                        cols.pattern_rows(), pattern_clusters);
+}
+
+std::vector<CandidateType> BuildEdgeCandidates(
+    const pg::PropertyGraph& graph, const pg::ColumnStore& cols,
+    const lsh::ClusterSet& pattern_clusters) {
+  return EdgeCandidates(graph, cols.ids(), cols.pattern_ids(),
+                        cols.pattern_rows(), pattern_clusters, [&](size_t p) {
+                          const uint32_t row = cols.pattern_rows()[p];
+                          return std::make_pair(cols.src_tokens()[row],
+                                                cols.dst_tokens()[row]);
+                        });
+}
+
+std::vector<CandidateType> BuildNodeCandidates(
     const pg::PropertyGraph& graph, const pg::GraphBatch& batch,
     const lsh::ClusterSet& clusters) {
-  return BuildCandidates(
-      batch.node_ids, clusters,
-      [&](uint64_t id) -> const pg::Node& { return graph.node(id); },
-      [](size_t, const pg::Node& n, const std::vector<pg::PropKeyId>& keys,
-         CandidateType*) { return NodePattern{n.labels, keys}.Hash(); });
+  const std::vector<uint32_t> identity = IdentityPatternMap(batch.node_ids.size());
+  return NodeCandidates(graph, batch.node_ids, identity, identity, clusters);
 }
 
 std::vector<CandidateType> BuildEdgeCandidates(
@@ -290,16 +351,9 @@ std::vector<CandidateType> BuildEdgeCandidates(
     const std::vector<std::pair<pg::LabelSetToken, pg::LabelSetToken>>&
         endpoint_tokens) {
   PGHIVE_CHECK(endpoint_tokens.size() == batch.edge_ids.size());
-  return BuildCandidates(
-      batch.edge_ids, clusters,
-      [&](uint64_t id) -> const pg::Edge& { return graph.edge(id); },
-      [&](size_t i, const pg::Edge& e, const std::vector<pg::PropKeyId>& keys,
-          CandidateType* cand) {
-        cand->endpoints.push_back(endpoint_tokens[i]);
-        return EdgePattern{e.labels, keys, graph.node(e.src).labels,
-                           graph.node(e.dst).labels}
-            .Hash();
-      });
+  const std::vector<uint32_t> identity = IdentityPatternMap(batch.edge_ids.size());
+  return EdgeCandidates(graph, batch.edge_ids, identity, identity, clusters,
+                        [&](size_t i) { return endpoint_tokens[i]; });
 }
 
 void ExtractNodeTypes(std::vector<CandidateType> candidates,

@@ -7,6 +7,7 @@
 #include "core/schema.h"
 #include "lsh/clustering.h"
 #include "pg/batch.h"
+#include "pg/column_store.h"
 #include "pg/graph.h"
 
 namespace pghive::core {
@@ -26,20 +27,32 @@ struct CandidateType {
   bool labeled() const { return !labels.empty(); }
 };
 
-/// Builds node candidates from an LSH clustering of a batch: cluster i's
-/// representative is (union of labels, union of keys) over its members,
-/// with per-key presence counts for the later constraint inference.
+/// Builds node candidates from an LSH clustering of a batch's structural
+/// patterns: `pattern_clusters` has one item per pattern of `cols` (the
+/// batch's node column store). Cluster i's representative is (union of
+/// labels, union of keys) over its member patterns, with per-key presence
+/// counts weighted by each pattern's row count for the later constraint
+/// inference; instance ids follow batch row order. Reads no vocabulary
+/// state, which is what lets the pipelined executor run it concurrently
+/// with the next batch's preprocess (the only vocabulary writer).
+std::vector<CandidateType> BuildNodeCandidates(
+    const pg::PropertyGraph& graph, const pg::ColumnStore& cols,
+    const lsh::ClusterSet& pattern_clusters);
+
+/// Edge version; also collects the endpoint label-set token pairs the edge
+/// column store recorded per pattern.
+std::vector<CandidateType> BuildEdgeCandidates(
+    const pg::PropertyGraph& graph, const pg::ColumnStore& cols,
+    const lsh::ClusterSet& pattern_clusters);
+
+/// Dense form: `clusters` has one item per batch node (row i is
+/// batch.node_ids[i]); every row is treated as its own pattern.
 std::vector<CandidateType> BuildNodeCandidates(const pg::PropertyGraph& graph,
                                                const pg::GraphBatch& batch,
                                                const lsh::ClusterSet& clusters);
 
-/// Edge version; also collects endpoint label-set token pairs.
-/// `endpoint_tokens[i]` is the (src, dst) label-set token pair of
-/// batch.edge_ids[i], precomputed by the vectorizer's intern pre-pass
-/// (Vectorizer::EdgeEndpointTokens). Taking them as input keeps this
-/// function free of vocabulary access, which is what lets the pipelined
-/// executor run it concurrently with the next batch's preprocess (the only
-/// vocabulary writer).
+/// Dense edge form. `endpoint_tokens[i]` is the (src, dst) label-set token
+/// pair of batch.edge_ids[i] (Vectorizer::EdgeEndpointTokens).
 std::vector<CandidateType> BuildEdgeCandidates(
     const pg::PropertyGraph& graph, const pg::GraphBatch& batch,
     const lsh::ClusterSet& clusters,

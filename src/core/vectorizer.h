@@ -32,6 +32,10 @@ struct ElementSetCsr {
   size_t num() const { return offsets.empty() ? 0 : offsets.size() - 1; }
 };
 
+/// The row -> pattern map of a dense N-row input, where every row is its
+/// own pattern: what the dense entry points hand to the pattern code.
+std::vector<uint32_t> IdentityPatternMap(size_t num);
+
 /// Builds the hybrid representation vectors of §4.1.
 ///
 /// Nodes:  f_v in R^{d+K}   = [ Word2Vec(labels) | binary property vector ]
@@ -42,35 +46,48 @@ struct ElementSetCsr {
 /// block. The binary block uses a global key-id -> column map shared by all
 /// rows of one call so identical patterns produce identical vectors.
 ///
-/// With a thread pool, rows are sharded across workers. Label-set tokens are
-/// interned in a sequential pre-pass (in row order, so token ids never depend
-/// on the thread count); the parallel phase then only reads the graph and the
-/// embedder, and each row writes its own slice of the matrix — output is
-/// bit-identical at every pool size. As a side effect, every token of the
-/// batch (including edge endpoint tokens) is interned once NodeFeatures and
-/// EdgeFeatures have run, which is what lets the later node/edge tracks share
-/// the vocabulary read-only.
+/// The unit of work is the structural pattern, not the element. Every batch
+/// is first built into a pg::ColumnStore per side; that build is the
+/// sequential token-intern pre-pass (in canonical row order, so token ids
+/// never depend on the thread count) and it numbers the rows by pattern.
+/// Node/EdgePatternFeatures then emit one feature row per pattern (row p
+/// describes the store's pattern_rows()[p]) and Node/EdgePatternSets one
+/// MinHash set per pattern; each distinct token is embedded once. Those
+/// P-row outputs are what PgHive clusters. The parallel phases only read the
+/// store and the embedder and write their own rows, so output is
+/// bit-identical at every pool size. After the column builds every token of
+/// the batch (edge endpoint tokens included) is interned, which is what lets
+/// the later node/edge tracks share the vocabulary read-only.
 ///
-/// In columnar mode (the default, and the only mode PgHive runs) the sweep
-/// runs over a per-batch pg::ColumnStore instead of the rows: the embed
-/// block reads the contiguous token array and the binary block is a
-/// per-column presence-bitmap sweep, with no per-row PropertyMap access in
-/// the hot loop. The column build is the sequential intern pre-pass, in the
-/// same canonical order as the row path, so features, sets and every
-/// downstream schema are byte-identical between the two modes. columnar =
-/// false keeps the row loops (NodeSets/EdgeSets included) as the reference
-/// implementation the equivalence tests and the row-vs-columnar bench
-/// compare against.
+/// The dense N-row entry points (NodeFeatures, EdgeFeatures, NodeSetSpans,
+/// EdgeSetSpans) are adapters: they expand the pattern output through the
+/// store's row -> pattern map, so row i is a copy of its pattern's row and
+/// equals what a per-element sweep would produce bit for bit. columnar =
+/// false keeps the per-element row loops of NodeFeatures/EdgeFeatures (and
+/// NodeSets/EdgeSets) as the reference implementation the equivalence tests
+/// and the row-vs-columnar bench compare against.
 class Vectorizer {
  public:
   Vectorizer(pg::PropertyGraph* graph, const embed::LabelEmbedder* embedder,
              util::ThreadPool* pool = nullptr, bool columnar = true);
 
+  /// One feature row per node pattern of the batch: row p is the vector of
+  /// every node of pattern p (see NodeColumns(batch).pattern_ids()).
+  FeatureMatrix NodePatternFeatures(const pg::GraphBatch& batch);
+
+  /// One feature row per edge pattern of the batch.
+  FeatureMatrix EdgePatternFeatures(const pg::GraphBatch& batch);
+
+  /// One MinHash element set per node / edge pattern, as a CSR; same
+  /// element universe and row order as the pattern features.
+  ElementSetCsr NodePatternSets(const pg::GraphBatch& batch);
+  ElementSetCsr EdgePatternSets(const pg::GraphBatch& batch);
+
   /// Feature vectors for the batch's nodes (row i corresponds to
-  /// batch.node_ids[i]).
+  /// batch.node_ids[i]): NodePatternFeatures expanded to one row per node.
   FeatureMatrix NodeFeatures(const pg::GraphBatch& batch);
 
-  /// Feature vectors for the batch's edges.
+  /// Feature vectors for the batch's edges, expanded the same way.
   FeatureMatrix EdgeFeatures(const pg::GraphBatch& batch);
 
   /// MinHash element sets for nodes: the label-set token plus property keys,
@@ -81,26 +98,26 @@ class Vectorizer {
   /// plus edge property keys.
   std::vector<std::vector<uint64_t>> EdgeSets(const pg::GraphBatch& batch);
 
-  /// Columnar MinHash element sets: one flat CSR filled from the batch's
-  /// column store. Element multisets per row equal NodeSets/EdgeSets, and
-  /// rows come out pre-sorted for free: the tag constants ascend in push
-  /// order (label < src < dst < key) and key ids ascend within a row, so the
-  /// per-row sort of the nested producers is skipped entirely.
+  /// MinHash element sets per batch row, as one flat CSR: the pattern sets
+  /// expanded through the row -> pattern map. Element multisets per row
+  /// equal NodeSets/EdgeSets, and rows come out pre-sorted for free: the tag
+  /// constants ascend in push order (label < src < dst < key) and key ids
+  /// ascend within a row, so the per-row sort of the nested producers is
+  /// skipped entirely.
   ElementSetCsr NodeSetSpans(const pg::GraphBatch& batch);
   ElementSetCsr EdgeSetSpans(const pg::GraphBatch& batch);
 
   /// The batch's column stores (built on first use, cached per id list; the
-  /// build is the sequential token-intern pre-pass of columnar mode).
+  /// build is the sequential token-intern pre-pass and numbers the patterns).
   const pg::ColumnStore& NodeColumns(const pg::GraphBatch& batch);
   const pg::ColumnStore& EdgeColumns(const pg::GraphBatch& batch);
 
   bool columnar() const { return columnar_; }
 
   /// Per-edge (src, dst) label-set token pairs from the cached intern
-  /// pre-pass (row i corresponds to batch.edge_ids[i]). After EdgeFeatures
-  /// or EdgeSets ran on the same batch this is a pure read, which is how the
-  /// pipelined executor hands the extract stage everything it needs without
-  /// touching the vocabulary again.
+  /// pre-pass (row i corresponds to batch.edge_ids[i]). After the edge
+  /// columns (or EdgeSets) were built for the same batch this is a pure
+  /// read.
   std::vector<std::pair<pg::LabelSetToken, pg::LabelSetToken>>
   EdgeEndpointTokens(const pg::GraphBatch& batch);
 

@@ -1,66 +1,73 @@
 #include "pg/column_store.h"
 
 #include <algorithm>
+#include <unordered_map>
+
+#include "util/rng.h"
 
 namespace pghive::pg {
 
-void ColumnStore::BuildPropertyColumns(
-    const std::vector<const PropertyMap*>& rows) {
-  const size_t n = rows.size();
+namespace {
 
-  // Key CSR + the distinct-key universe in one pass; each row is already
-  // sorted by key id.
-  key_offsets_.assign(n + 1, 0);
-  size_t total_keys = 0;
-  for (size_t r = 0; r < n; ++r) {
-    total_keys += rows[r]->size();
-    key_offsets_[r + 1] = static_cast<uint32_t>(total_keys);
+struct IdVectorHash {
+  size_t operator()(const std::vector<uint32_t>& v) const {
+    uint64_t h = v.size();
+    for (const uint32_t x : v) h = util::HashCombine(h, x);
+    return static_cast<size_t>(h);
   }
-  key_ids_.reserve(total_keys);
-  PropKeyId max_key = 0;
-  for (size_t r = 0; r < n; ++r) {
-    for (const auto& [key, value] : rows[r]->entries()) {
-      key_ids_.push_back(key);
-      max_key = std::max(max_key, key);
-    }
+};
+
+/// Dense ids for id vectors, in first-seen order.
+using IdVectorMap =
+    std::unordered_map<std::vector<uint32_t>, uint32_t, IdVectorHash>;
+
+/// The per-build label-set memo: a dense slot per distinct (normalized)
+/// label-id vector, whose token is interned on first sight only. Calling
+/// Slot in the canonical order therefore interns tokens in exactly the
+/// order a per-element TokenForLabelSet walk would, while the sort-and-join
+/// runs once per distinct set instead of once per element.
+class LabelSetMemo {
+ public:
+  explicit LabelSetMemo(Vocabulary* vocab) : vocab_(vocab) {}
+
+  uint32_t Slot(const std::vector<LabelId>& labels) {
+    const auto [it, fresh] =
+        slots_.try_emplace(labels, static_cast<uint32_t>(tokens_.size()));
+    if (fresh) tokens_.push_back(vocab_->TokenForLabelSet(labels));
+    return it->second;
   }
 
-  // Key ids come from the vocabulary — a small dense universe — so the
-  // distinct set and the key -> column mapping are one O(max_key) scratch
-  // table instead of an O(total log total) sort + per-entry binary search.
-  std::vector<uint32_t> col_of;
-  if (total_keys > 0) {
-    constexpr uint32_t kAbsent = UINT32_MAX;
-    col_of.assign(static_cast<size_t>(max_key) + 1, kAbsent);
-    for (const PropKeyId key : key_ids_) col_of[key] = 0;
-    uint32_t num_columns = 0;
-    for (uint32_t& slot : col_of) {
-      if (slot != kAbsent) slot = num_columns++;
-    }
-    columns_.resize(num_columns);
-    for (size_t k = 0; k < col_of.size(); ++k) {
-      if (col_of[k] == kAbsent) continue;
-      PropertyColumn& col = columns_[col_of[k]];
-      col.key = static_cast<PropKeyId>(k);
-      col.present = PresenceBitmap(n);
-    }
-  }
-  for (size_t r = 0; r < n; ++r) {
-    for (const auto& [key, value] : rows[r]->entries()) {
-      columns_[col_of[key]].present.Set(r);
-    }
-  }
+  LabelSetToken token(uint32_t slot) const { return tokens_[slot]; }
+
+ private:
+  Vocabulary* vocab_;
+  IdVectorMap slots_;
+  std::vector<LabelSetToken> tokens_;
+};
+
+}  // namespace
+
+void ColumnStore::AppendKeys(const PropertyMap& props) {
+  // Entries are sorted by key id, so the row's CSR slice is too.
+  for (const auto& [key, value] : props.entries()) key_ids_.push_back(key);
+  key_offsets_.push_back(static_cast<uint32_t>(key_ids_.size()));
 }
 
-void ColumnStore::FillBinaryBlock(size_t lo, size_t hi, size_t max_key,
-                                  float* data, size_t stride,
-                                  size_t offset) const {
-  for (const PropertyColumn& col : columns_) {
-    if (col.key >= max_key) break;  // Columns are sorted by key id.
-    const size_t key = col.key;
-    col.present.ForEachSet(lo, hi, [&](size_t row) {
-      data[(row - lo) * stride + offset + key] = 1.0f;
-    });
+void ColumnStore::AssignPatterns(const std::vector<uint32_t>& label_sets,
+                                 size_t per_row) {
+  const size_t n = ids_.size();
+  pattern_ids_.resize(n);
+  IdVectorMap seen;
+  std::vector<uint32_t> key;  // The row's label-set slots, then its keys.
+  for (size_t r = 0; r < n; ++r) {
+    key.assign(label_sets.begin() + r * per_row,
+               label_sets.begin() + (r + 1) * per_row);
+    key.insert(key.end(), key_ids_.begin() + key_offsets_[r],
+               key_ids_.begin() + key_offsets_[r + 1]);
+    const auto [it, fresh] =
+        seen.try_emplace(key, static_cast<uint32_t>(pattern_rows_.size()));
+    if (fresh) pattern_rows_.push_back(static_cast<uint32_t>(r));
+    pattern_ids_[r] = it->second;
   }
 }
 
@@ -69,14 +76,18 @@ ColumnStore ColumnStore::ForNodes(PropertyGraph& graph,
   ColumnStore store;
   store.ids_ = ids;
   store.tokens_.reserve(ids.size());
-  std::vector<const PropertyMap*> rows;
-  rows.reserve(ids.size());
+  store.key_offsets_.reserve(ids.size() + 1);
+  store.key_offsets_.push_back(0);
+  LabelSetMemo memo(&graph.vocab());
+  std::vector<uint32_t> label_sets;
+  label_sets.reserve(ids.size());
   for (const NodeId id : ids) {
     const Node& n = graph.node(id);
-    store.tokens_.push_back(graph.vocab().TokenForLabelSet(n.labels));
-    rows.push_back(&n.properties);
+    label_sets.push_back(memo.Slot(n.labels));
+    store.tokens_.push_back(memo.token(label_sets.back()));
+    store.AppendKeys(n.properties);
   }
-  store.BuildPropertyColumns(rows);
+  store.AssignPatterns(label_sets, 1);
   return store;
 }
 
@@ -89,24 +100,27 @@ ColumnStore ColumnStore::ForEdges(PropertyGraph& graph,
   store.dst_tokens_.reserve(ids.size());
   store.src_ids_.reserve(ids.size());
   store.dst_ids_.reserve(ids.size());
-  std::vector<const PropertyMap*> rows;
-  rows.reserve(ids.size());
-  Vocabulary& vocab = graph.vocab();
+  store.key_offsets_.reserve(ids.size() + 1);
+  store.key_offsets_.push_back(0);
+  LabelSetMemo memo(&graph.vocab());
+  std::vector<uint32_t> label_sets;  // (edge, src, dst) slots per row.
+  label_sets.reserve(3 * ids.size());
   for (const EdgeId id : ids) {
     const Edge& e = graph.edge(id);
     // Intern order per edge is (src, edge, dst) — the sentence order the
     // corpus builder emits, which pins Word2Vec token-id history.
-    const LabelSetToken src = vocab.TokenForLabelSet(graph.node(e.src).labels);
-    const LabelSetToken own = vocab.TokenForLabelSet(e.labels);
-    const LabelSetToken dst = vocab.TokenForLabelSet(graph.node(e.dst).labels);
-    store.src_tokens_.push_back(src);
-    store.tokens_.push_back(own);
-    store.dst_tokens_.push_back(dst);
+    const uint32_t src = memo.Slot(graph.node(e.src).labels);
+    const uint32_t own = memo.Slot(e.labels);
+    const uint32_t dst = memo.Slot(graph.node(e.dst).labels);
+    label_sets.insert(label_sets.end(), {own, src, dst});
+    store.src_tokens_.push_back(memo.token(src));
+    store.tokens_.push_back(memo.token(own));
+    store.dst_tokens_.push_back(memo.token(dst));
     store.src_ids_.push_back(e.src);
     store.dst_ids_.push_back(e.dst);
-    rows.push_back(&e.properties);
+    store.AppendKeys(e.properties);
   }
-  store.BuildPropertyColumns(rows);
+  store.AssignPatterns(label_sets, 3);
   return store;
 }
 

@@ -10,72 +10,29 @@
 
 namespace pghive::pg {
 
-/// One presence bit per row of a ColumnStore, packed into 64-bit words.
-class PresenceBitmap {
- public:
-  PresenceBitmap() = default;
-  explicit PresenceBitmap(size_t rows)
-      : rows_(rows), words_((rows + 63) / 64, 0) {}
-
-  size_t rows() const { return rows_; }
-  const std::vector<uint64_t>& words() const { return words_; }
-
-  void Set(size_t row) { words_[row >> 6] |= 1ULL << (row & 63); }
-  bool Test(size_t row) const {
-    return (words_[row >> 6] >> (row & 63)) & 1ULL;
-  }
-
-  /// Invokes fn(row) for every set bit in [lo, hi), ascending. Scans whole
-  /// words, so absent stretches cost one test per 64 rows.
-  template <typename Fn>
-  void ForEachSet(size_t lo, size_t hi, Fn&& fn) const {
-    if (lo >= hi) return;
-    size_t w = lo >> 6;
-    const size_t w_end = (hi + 63) >> 6;
-    for (; w < w_end; ++w) {
-      uint64_t word = words_[w];
-      if (word == 0) continue;
-      // Mask off bits outside [lo, hi) in the boundary words.
-      if (w == (lo >> 6) && (lo & 63) != 0) {
-        word &= ~0ULL << (lo & 63);
-      }
-      if (w == (hi >> 6) && (hi & 63) != 0) {
-        word &= (1ULL << (hi & 63)) - 1;
-      }
-      while (word != 0) {
-        const int bit = __builtin_ctzll(word);
-        fn((w << 6) + static_cast<size_t>(bit));
-        word &= word - 1;
-      }
-    }
-  }
-
- private:
-  size_t rows_ = 0;
-  std::vector<uint64_t> words_;
-};
-
-/// The rows of one ColumnStore that carry `key`, as a presence bitmap. A key
-/// stored with a null value is present.
-struct PropertyColumn {
-  PropKeyId key = 0;
-  PresenceBitmap present;
-};
-
 /// A struct-of-arrays snapshot of one batch's elements (nodes or edges, in
 /// batch order): interned label-set token-id arrays, endpoint tokens and ids
-/// for edges, a CSR of the per-row sorted property-key sets, and one
-/// presence bitmap per distinct key — the contiguous layout the vectorize /
-/// LSH / corpus inner loops scan instead of chasing per-row PropertyMap
-/// allocations (the Arrow-table-per-property-set idea of KatanaGraph's
-/// RDGCore, scoped to a batch). It holds no property values: its consumers
+/// for edges, a CSR of the per-row sorted property-key sets, and a dense
+/// structural-pattern id per row. It holds no property values: its consumers
 /// only ask which keys a row carries.
 ///
+/// Pattern ids are what the discovery pipeline works on. Two rows with the
+/// same pattern key get the same §4.1 feature row and the same MinHash set,
+/// so they always share an LSH signature and a cluster; the vectorizer, the
+/// adaptive sampler, the hashers and the candidate builder therefore run
+/// once per pattern and map rows onto patterns through pattern_ids(). The
+/// key is (label set, key set) for nodes and (label set, src label set, dst
+/// label set, key set) for edges, with label sets compared as normalized
+/// label-id vectors (never as joined token strings, so two sets whose names
+/// happen to join to the same token stay apart). Ids are numbered in
+/// first-seen row order and are local to one store, i.e. to one batch.
+///
 /// Built once per batch from the row representation, which stays the source
-/// of truth. Building interns label-set tokens sequentially in a canonical
-/// order (edges: src, edge, dst per edge; nodes: row order), the same order
-/// the row path uses, so token ids — and therefore every downstream schema
-/// — are identical whichever representation feeds the pipeline.
+/// of truth. The build interns each distinct label set's token once, through
+/// a per-build memo keyed by the label-id vector, in a canonical order
+/// (edges: src, edge, dst per edge; nodes: row order) — the order the row
+/// path uses — so token ids, and therefore every downstream schema, are
+/// identical whichever representation feeds the pipeline.
 class ColumnStore {
  public:
   ColumnStore() = default;
@@ -100,15 +57,15 @@ class ColumnStore {
   const std::vector<uint32_t>& key_offsets() const { return key_offsets_; }
   const std::vector<PropKeyId>& key_ids() const { return key_ids_; }
 
-  /// One presence column per distinct key, sorted by key id.
-  const std::vector<PropertyColumn>& columns() const { return columns_; }
+  /// Structural-pattern id per row, dense in [0, num_patterns()) and
+  /// numbered in first-seen row order.
+  const std::vector<uint32_t>& pattern_ids() const { return pattern_ids_; }
 
-  /// Writes 1.0f into data[(row - lo) * stride + offset + key] for every
-  /// (row, key) presence pair with key < max_key and row in [lo, hi) — the
-  /// binary block of the §4.1 representation vectors as a per-column bitmap
-  /// sweep. `data` points at the feature row of `lo`.
-  void FillBinaryBlock(size_t lo, size_t hi, size_t max_key, float* data,
-                       size_t stride, size_t offset) const;
+  /// The first row of each pattern, ascending: pattern p's representative,
+  /// whose tokens and keys every row of the pattern shares.
+  const std::vector<uint32_t>& pattern_rows() const { return pattern_rows_; }
+
+  size_t num_patterns() const { return pattern_rows_.size(); }
 
   /// Builds the store for `ids` (in order) against `graph`. Interns any
   /// unseen label-set tokens (nodes: row order).
@@ -122,7 +79,13 @@ class ColumnStore {
                               const std::vector<EdgeId>& ids);
 
  private:
-  void BuildPropertyColumns(const std::vector<const PropertyMap*>& rows);
+  /// Appends the next row's key set to the key CSR.
+  void AppendKeys(const PropertyMap& props);
+
+  /// Numbers the rows by pattern. `label_sets` holds `per_row` label-set
+  /// memo slots per row (nodes 1, edges 3); the row's key set completes the
+  /// key. Needs the key CSR.
+  void AssignPatterns(const std::vector<uint32_t>& label_sets, size_t per_row);
 
   std::vector<uint64_t> ids_;
   std::vector<LabelSetToken> tokens_;
@@ -132,7 +95,8 @@ class ColumnStore {
   std::vector<NodeId> dst_ids_;
   std::vector<uint32_t> key_offsets_;
   std::vector<PropKeyId> key_ids_;
-  std::vector<PropertyColumn> columns_;
+  std::vector<uint32_t> pattern_ids_;
+  std::vector<uint32_t> pattern_rows_;
 };
 
 }  // namespace pghive::pg

@@ -244,22 +244,28 @@ std::vector<LabelId> InternLabelField(std::string_view field,
   return labels;
 }
 
-void ApplyPropsField(std::string_view field, Vocabulary* vocab,
-                     PropertyMap* props) {
-  if (field.empty()) return;
+util::Status ApplyPropsField(std::string_view field, Vocabulary* vocab,
+                             PropertyMap* props) {
+  if (field.empty() || field == "-") return util::Status::Ok();
   // Escaped data holds no raw ';' but the separators.
   const auto pairs = std::count(field.begin(), field.end(), ';') + 1;
   props->Reserve(props->size() + static_cast<size_t>(pairs));
   std::string scratch;
+  util::Status status = util::Status::Ok();
   ForEachPiece(field, ';', [&](std::string_view pair) {
+    if (!status.ok()) return;
     const size_t eq = FindUnescaped(pair, '=', 0);
     if (eq == pair.size() || FindUnescaped(pair, '=', eq + 1) != pair.size()) {
+      status = util::Status::ParseError(
+          "bad props pair '" + std::string(pair) +
+          "' (want key=value with one unescaped '=')");
       return;
     }
     const KeyId key = vocab->InternKey(Unescaped(pair.substr(0, eq), &scratch));
     props->Set(key,
                ParseValueLiteral(Unescaped(pair.substr(eq + 1), &scratch)));
   });
+  return status;
 }
 
 void AppendNodeLine(const PropertyGraph& graph, const Node& node, char tag,
@@ -349,7 +355,11 @@ util::Status LoadGraphTextInto(std::string_view text, PropertyGraph* graph) {
       }
       const NodeId nid =
           graph->AddNodeWithLabelIds(InternLabelField(fields.labels, &vocab));
-      ApplyPropsField(fields.props, &vocab, &graph->node(nid).properties);
+      util::Status props =
+          ApplyPropsField(fields.props, &vocab, &graph->node(nid).properties);
+      if (!props.ok()) {
+        return util::Status::ParseError(props.message() + where());
+      }
     } else {
       if (fields.src >= graph->num_nodes() ||
           fields.dst >= graph->num_nodes()) {
@@ -361,7 +371,11 @@ util::Status LoadGraphTextInto(std::string_view text, PropertyGraph* graph) {
       }
       const EdgeId eid = graph->AddEdgeWithLabelIds(
           fields.src, fields.dst, InternLabelField(fields.labels, &vocab));
-      ApplyPropsField(fields.props, &vocab, &graph->edge(eid).properties);
+      util::Status props =
+          ApplyPropsField(fields.props, &vocab, &graph->edge(eid).properties);
+      if (!props.ok()) {
+        return util::Status::ParseError(props.message() + where());
+      }
     }
   }
   return util::Status::Ok();

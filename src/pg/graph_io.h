@@ -18,8 +18,8 @@ namespace pghive::pg {
 //   E <id> <src> <dst> <labels> [<props>]
 //
 // <labels> is "-" for none, else labels joined by '|'. <props> is
-// key=value pairs joined by ';'; each value is re-typed on load by
-// ParseValueLiteral. Blank lines and lines starting with '#' are skipped, and
+// key=value pairs joined by ';' (left out, or "-", for none); each value is
+// re-typed on load by ParseValueLiteral. Blank lines and lines starting with '#' are skipped, and
 // a token after <props> is a ParseError.
 
 /// One element line split into its fields but not yet applied to a graph.
@@ -46,9 +46,11 @@ std::vector<LabelId> InternLabelField(std::string_view field,
                                       Vocabulary* vocab);
 
 /// Sets every key=value pair of a <props> field on `props`, interning keys
-/// in field order. A pair without exactly one unescaped '=' is skipped.
-void ApplyPropsField(std::string_view field, Vocabulary* vocab,
-                     PropertyMap* props);
+/// in field order; an empty field or "-" sets none. A pair without exactly
+/// one unescaped '=' (a bare key, `a=b=c`, an empty pair) stops the field
+/// with a ParseError that quotes the pair; the pairs before it stay applied.
+util::Status ApplyPropsField(std::string_view field, Vocabulary* vocab,
+                             PropertyMap* props);
 
 /// Appends the graph-text line of one node / edge of `graph` (no trailing
 /// newline): the inverse of SplitElementLine + InternLabelField +

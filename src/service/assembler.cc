@@ -186,7 +186,12 @@ util::Status GraphAssembler::MaterializeNode(std::string_view line,
   pg::NormalizeLabels(&labels);
   pg::Node& node = graph_->node(fields.id);
   node.labels = std::move(labels);
-  pg::ApplyPropsField(fields.props, &graph_->vocab(), &node.properties);
+  util::Status props =
+      pg::ApplyPropsField(fields.props, &graph_->vocab(), &node.properties);
+  if (!props.ok()) {
+    return util::Status::ParseError(props.message() + " in '" +
+                                    std::string(line) + "'");
+  }
   node_filled_[fields.id] = true;
   ++nodes_filled_;
   if (member) batch->node_ids.push_back(fields.id);
@@ -228,7 +233,12 @@ util::Status GraphAssembler::MaterializeEdge(std::string_view line,
   edge.src = fields.src;
   edge.dst = fields.dst;
   edge.labels = std::move(labels);
-  pg::ApplyPropsField(fields.props, &graph_->vocab(), &edge.properties);
+  util::Status props =
+      pg::ApplyPropsField(fields.props, &graph_->vocab(), &edge.properties);
+  if (!props.ok()) {
+    return util::Status::ParseError(props.message() + " in '" +
+                                    std::string(line) + "'");
+  }
   edge_filled_[fields.id] = true;
   ++edges_filled_;
   batch->edge_ids.push_back(fields.id);

@@ -28,19 +28,15 @@ bool JobQueue::Submit(const std::string& lane, Job job) {
 }
 
 void JobQueue::RunLane(const std::string& lane) {
+  Job job;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // The dispatching Submit queued a job and no one else pops this lane.
+    Lane& l = lanes_[lane];
+    job = std::move(l.jobs.front());
+    l.jobs.pop_front();
+  }
   for (;;) {
-    Job job;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      Lane& l = lanes_[lane];
-      if (l.jobs.empty()) {
-        l.running = false;
-        idle_.notify_all();
-        return;
-      }
-      job = std::move(l.jobs.front());
-      l.jobs.pop_front();
-    }
     // Jobs are expected not to throw (session jobs latch a Status instead),
     // but a stray exception must not kill the pool worker or wedge the lane
     // bookkeeping.
@@ -48,11 +44,21 @@ void JobQueue::RunLane(const std::string& lane) {
       job();
     } catch (...) {
     }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --pending_;
-      if (pending_ == 0) idle_.notify_all();
+    job = nullptr;  // Release the job's captures before it counts as done.
+    // Retiring the finished job and taking the next one (or marking the
+    // lane idle) is one critical section, and the runner's last access to
+    // `this` when the lane empties: a waiter in Drain or DrainLane cannot
+    // observe the idle state, return and destroy the queue before it ends.
+    std::lock_guard<std::mutex> lock(mutex_);
+    --pending_;
+    Lane& l = lanes_[lane];
+    if (l.jobs.empty()) {
+      l.running = false;
+      idle_.notify_all();
+      return;
     }
+    job = std::move(l.jobs.front());
+    l.jobs.pop_front();
   }
 }
 

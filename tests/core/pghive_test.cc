@@ -234,8 +234,10 @@ TEST(PgHiveTest, PreprocessPlusProcessPreparedEqualsProcessBatch) {
     EXPECT_EQ(prepared.batch.node_ids, batch.node_ids);
     EXPECT_EQ(prepared.batch.edge_ids, batch.edge_ids);
     ASSERT_NE(prepared.vectorizer, nullptr);
-    EXPECT_EQ(prepared.node_features.num, batch.node_ids.size());
-    EXPECT_EQ(prepared.edge_features.num, batch.edge_ids.size());
+    EXPECT_EQ(prepared.node_patterns.num,
+              prepared.vectorizer->NodeColumns(batch).num_patterns());
+    EXPECT_EQ(prepared.edge_patterns.num,
+              prepared.vectorizer->EdgeColumns(batch).num_patterns());
     // The warmed cache serves the endpoint tokens the extract side reads.
     EXPECT_EQ(prepared.vectorizer->EdgeEndpointTokens(batch).size(),
               batch.edge_ids.size());

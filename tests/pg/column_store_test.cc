@@ -1,17 +1,21 @@
 // ColumnStore is a derived, struct-of-arrays view of the row representation,
 // so every test here is an equivalence pin: whatever random rows say, the
-// columns must say exactly — each row's key set rebuilt from the presence
-// bitmaps, CSR key order vs entries() order, endpoint ids and tokens,
-// null/overwrite/erase semantics, and the FillBinaryBlock sweep against the
-// naive per-row loop.
+// columns must say exactly — each row's key set from the key CSR in
+// entries() order, endpoint ids and tokens, and null/overwrite/erase
+// semantics. Pattern ids are pinned against a first-seen numbering of the
+// (label sets, key set) keys computed from the rows.
 
 #include "pg/column_store.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
+
+#include "pg/batch.h"
 
 #include "pg/graph.h"
 #include "pg/property_map.h"
@@ -88,40 +92,11 @@ std::vector<EdgeId> AllEdges(const PropertyGraph& graph) {
   return ids;
 }
 
-/// Row `row`'s key set as the presence bitmaps record it, ascending.
+/// Row `row`'s key set as the key CSR records it.
 std::vector<KeyId> PresentKeys(const ColumnStore& cols, size_t row) {
-  std::vector<KeyId> keys;
-  for (const PropertyColumn& col : cols.columns()) {
-    if (col.present.Test(row)) keys.push_back(col.key);
-  }
-  return keys;
-}
-
-TEST(PresenceBitmapTest, ForEachSetHonorsRangeBoundaries) {
-  util::Rng rng(11);
-  const size_t rows = 200;
-  PresenceBitmap bitmap(rows);
-  std::vector<bool> naive(rows, false);
-  for (size_t i = 0; i < rows; ++i) {
-    if (rng.NextBounded(2) == 0) {
-      bitmap.Set(i);
-      naive[i] = true;
-    }
-  }
-  // Ranges chosen to hit word-aligned, word-straddling, single-word and
-  // empty cases.
-  const std::pair<size_t, size_t> ranges[] = {
-      {0, rows}, {0, 0},   {0, 1},    {0, 63},   {0, 64},  {1, 64},
-      {63, 65},  {64, 64}, {64, 128}, {65, 127}, {100, 101}, {130, rows}};
-  for (size_t i = 0; i < rows; ++i) EXPECT_EQ(bitmap.Test(i), naive[i]) << i;
-  for (const auto& [lo, hi] : ranges) {
-    std::vector<size_t> got, want;
-    bitmap.ForEachSet(lo, hi, [&](size_t row) { got.push_back(row); });
-    for (size_t i = lo; i < hi; ++i) {
-      if (naive[i]) want.push_back(i);
-    }
-    EXPECT_EQ(got, want) << "[" << lo << ", " << hi << ")";
-  }
+  const auto begin = cols.key_ids().begin();
+  return std::vector<KeyId>(begin + cols.key_offsets()[row],
+                            begin + cols.key_offsets()[row + 1]);
 }
 
 TEST(ColumnStoreTest, NodeRowsRoundTripThroughColumns) {
@@ -166,27 +141,6 @@ TEST(ColumnStoreTest, KeyCsrMatchesRowKeyOrder) {
   }
 }
 
-TEST(ColumnStoreTest, ColumnsSortedByKeyAndPresenceExact) {
-  PropertyGraph graph = RandomGraph(9, 150, 0);
-  ColumnStore cols = ColumnStore::ForNodes(graph, AllNodes(graph));
-  ASSERT_FALSE(cols.columns().empty());
-  for (size_t c = 1; c < cols.columns().size(); ++c) {
-    EXPECT_LT(cols.columns()[c - 1].key, cols.columns()[c].key);
-  }
-  for (const PropertyColumn& col : cols.columns()) {
-    // Presence bits reproduce exactly the rows carrying the key, null
-    // values included.
-    ASSERT_EQ(col.present.rows(), cols.num_rows());
-    bool carried = false;
-    for (size_t row = 0; row < cols.num_rows(); ++row) {
-      const bool has = graph.node(row).properties.Has(col.key);
-      EXPECT_EQ(col.present.Test(row), has) << "key " << col.key;
-      carried |= has;
-    }
-    EXPECT_TRUE(carried) << "column for a key no row carries: " << col.key;
-  }
-}
-
 TEST(ColumnStoreTest, OverwriteEraseAndNullSemantics) {
   PropertyGraph graph;
   NodeId a = graph.AddNode({"A"});
@@ -201,72 +155,39 @@ TEST(ColumnStoreTest, OverwriteEraseAndNullSemantics) {
       graph.node(a).properties.Keys()[1]));  // erase "gone"
 
   ColumnStore cols = ColumnStore::ForNodes(graph, {a, b, c});
-  // "gone" was erased before the build: no row carries it, so no column.
-  ASSERT_EQ(cols.columns().size(), 2u);
-
-  // The overwritten key stays present once, whatever its new value type.
-  const PropertyColumn& age = cols.columns()[0];
-  EXPECT_TRUE(age.present.Test(0));
-  EXPECT_TRUE(age.present.Test(1));
-  EXPECT_FALSE(age.present.Test(2));
-
-  // A key stored with a null value is present.
-  const PropertyColumn& hole = cols.columns()[1];
-  EXPECT_FALSE(hole.present.Test(0));
-  EXPECT_TRUE(hole.present.Test(1));
-
-  // The CSR and the bitmaps agree on every row, including the erased key's
-  // absence and the empty row.
+  const KeyId age = graph.vocab().FindKey("age");
+  const KeyId hole = graph.vocab().FindKey("hole");
+  // "gone" was erased before the build: no row carries it. The overwritten
+  // key stays present once, whatever its new value type, and a key stored
+  // with a null value is present.
+  EXPECT_EQ(PresentKeys(cols, 0), (std::vector<KeyId>{age}));
+  EXPECT_EQ(PresentKeys(cols, 1), (std::vector<KeyId>{age, hole}));
+  EXPECT_TRUE(PresentKeys(cols, 2).empty());
   for (size_t row = 0; row < 3; ++row) {
-    const std::vector<KeyId> want =
-        graph.node(cols.ids()[row]).properties.Keys();
-    EXPECT_EQ(PresentKeys(cols, row), want) << row;
-    EXPECT_EQ(cols.key_offsets()[row + 1] - cols.key_offsets()[row],
-              want.size());
+    EXPECT_EQ(PresentKeys(cols, row),
+              graph.node(cols.ids()[row]).properties.Keys())
+        << row;
   }
   EXPECT_EQ(cols.key_offsets()[3], cols.key_offsets()[2]);
-}
-
-TEST(ColumnStoreTest, FillBinaryBlockMatchesNaiveRowSweep) {
-  PropertyGraph graph = RandomGraph(13, 230, 0);
-  ColumnStore cols = ColumnStore::ForNodes(graph, AllNodes(graph));
-  const size_t num = cols.num_rows();
-  const size_t max_key = 5;  // Smaller than the key universe on purpose.
-  const size_t offset = 3, stride = offset + max_key + 2;
-  // Chunked exactly like the vectorizer's ParallelFor consumption.
-  for (size_t lo = 0; lo < num; lo += 64) {
-    const size_t hi = std::min(num, lo + 64);
-    std::vector<float> got((hi - lo) * stride, 0.0f);
-    cols.FillBinaryBlock(lo, hi, max_key, got.data(), stride, offset);
-    std::vector<float> want((hi - lo) * stride, 0.0f);
-    for (size_t row = lo; row < hi; ++row) {
-      for (const auto& [key, value] : graph.node(row).properties.entries()) {
-        if (key < max_key) want[(row - lo) * stride + offset + key] = 1.0f;
-      }
-    }
-    EXPECT_EQ(got, want) << "chunk [" << lo << ", " << hi << ")";
-  }
 }
 
 TEST(ColumnStoreTest, EmptyAndValuelessStores) {
   PropertyGraph graph = RandomGraph(17, 20, 10);
   ColumnStore empty = ColumnStore::ForNodes(graph, {});
   EXPECT_EQ(empty.num_rows(), 0u);
-  EXPECT_TRUE(empty.columns().empty());
-  std::vector<float> untouched(8, -1.0f);
-  empty.FillBinaryBlock(0, 0, 4, untouched.data(), 8, 0);
-  EXPECT_EQ(untouched, std::vector<float>(8, -1.0f));
+  EXPECT_EQ(empty.key_offsets(), (std::vector<uint32_t>{0}));
+  EXPECT_TRUE(empty.key_ids().empty());
 
-  // A store holds no values, yet its presence counts are exact.
+  // A store holds no values, yet its per-key presence counts are exact.
   ColumnStore lean = ColumnStore::ForNodes(graph, AllNodes(graph));
-  for (const PropertyColumn& col : lean.columns()) {
+  std::vector<size_t> got(graph.vocab().num_keys(), 0);
+  for (const KeyId key : lean.key_ids()) ++got[key];
+  for (KeyId key = 0; key < got.size(); ++key) {
     size_t want = 0;
     for (size_t row = 0; row < lean.num_rows(); ++row) {
-      if (graph.node(row).properties.Has(col.key)) ++want;
+      if (graph.node(row).properties.Has(key)) ++want;
     }
-    size_t got = 0;
-    col.present.ForEachSet(0, lean.num_rows(), [&](size_t) { ++got; });
-    EXPECT_EQ(got, want) << "key " << col.key;
+    EXPECT_EQ(got[key], want) << "key " << key;
   }
 }
 
@@ -282,6 +203,47 @@ TEST(ColumnStoreTest, TokensMatchRowOrderInterning) {
     EXPECT_EQ(edge_cols.tokens()[row],
               graph.vocab().TokenForLabelSet(graph.edge(row).labels));
   }
+}
+
+// Pattern ids number the distinct (token, src token, dst token, key set)
+// keys of one store densely in first-seen row order; RandomGraph's label
+// names hold no '|', so equal tokens mean equal label sets here. Every
+// batch's store numbers its own rows from 0.
+TEST(ColumnStoreTest, PatternIdsAreDenseFirstSeenAndPerBatch) {
+  PropertyGraph graph = RandomGraph(21, 150, 400);
+  using Key = std::tuple<LabelSetToken, LabelSetToken, LabelSetToken,
+                         std::vector<KeyId>>;
+  auto check = [](const ColumnStore& cols, bool edges) {
+    std::map<Key, uint32_t> first_seen;
+    std::vector<uint32_t> want_ids;
+    std::vector<uint32_t> want_rows;
+    for (size_t row = 0; row < cols.num_rows(); ++row) {
+      const Key key{cols.tokens()[row],
+                    edges ? cols.src_tokens()[row] : kNoToken,
+                    edges ? cols.dst_tokens()[row] : kNoToken,
+                    std::vector<KeyId>(
+                        cols.key_ids().begin() + cols.key_offsets()[row],
+                        cols.key_ids().begin() + cols.key_offsets()[row + 1])};
+      const auto [it, fresh] = first_seen.try_emplace(
+          key, static_cast<uint32_t>(first_seen.size()));
+      if (fresh) want_rows.push_back(static_cast<uint32_t>(row));
+      want_ids.push_back(it->second);
+    }
+    EXPECT_EQ(cols.pattern_ids(), want_ids);
+    EXPECT_EQ(cols.pattern_rows(), want_rows);
+    EXPECT_EQ(cols.num_patterns(), first_seen.size());
+    // Folding happens: the random graph repeats patterns within a batch.
+    EXPECT_LT(cols.num_patterns(), cols.num_rows());
+  };
+  const std::vector<GraphBatch> batches =
+      SplitIntoBatches(graph, /*num_batches=*/4, /*seed=*/3);
+  ASSERT_EQ(batches.size(), 4u);
+  for (const GraphBatch& batch : batches) {
+    check(ColumnStore::ForEdges(graph, batch.edge_ids), /*edges=*/true);
+    check(ColumnStore::ForNodes(graph, batch.node_ids), /*edges=*/false);
+  }
+  EXPECT_TRUE(ColumnStore::ForNodes(graph, {}).pattern_ids().empty());
+  EXPECT_EQ(ColumnStore::ForNodes(graph, {}).num_patterns(), 0u);
 }
 
 }  // namespace

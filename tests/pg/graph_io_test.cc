@@ -217,6 +217,42 @@ TEST(GraphIoTest, MalformedLinesNameTheirLine) {
   }
 }
 
+// A props pair needs exactly one unescaped '=': a bare key, a second '='
+// and an empty pair are ParseErrors that name the line and quote the pair,
+// on node and edge lines alike, instead of loading with the pair dropped.
+TEST(GraphIoTest, BadPropsPairIsAParseErrorNamingTheLine) {
+  const struct {
+    const char* text;
+    const char* pair;
+  } cases[] = {
+      {"N 0 A\nN 1 A k\n", "'k'"},
+      {"N 0 A\nN 1 A a=b=c\n", "'a=b=c'"},
+      {"N 0 A\nN 1 A x=1;;y=2\n", "''"},
+      {"N 0 A\nN 1 A x=1;\n", "''"},
+      {"N 0 A\nE 0 0 0 R k\n", "'k'"},
+      {"N 0 A\nE 0 0 0 R a=b=c\n", "'a=b=c'"},
+      {"N 0 A\nE 0 0 0 R ;x=1\n", "''"},
+  };
+  for (const auto& c : cases) {
+    auto result = LoadGraphText(c.text);
+    ASSERT_FALSE(result.ok()) << c.text;
+    EXPECT_EQ(result.status().code(), util::StatusCode::kParseError) << c.text;
+    const std::string& message = result.status().message();
+    EXPECT_NE(message.find(", line 2"), std::string::npos) << message;
+    EXPECT_NE(message.find(std::string("pair ") + c.pair), std::string::npos)
+        << message;
+  }
+  // "-" alone spells "no properties", as it spells "no labels".
+  auto dash = LoadGraphText("N 0 A -\nN 1 - -\n");
+  ASSERT_TRUE(dash.ok()) << dash.status().ToString();
+  EXPECT_TRUE(dash->node(0).properties.empty());
+  EXPECT_TRUE(dash->node(1).properties.empty());
+  // Escaped '=' and ';' are data, not separators: the pair stays valid.
+  auto escaped = LoadGraphText("N 0 A a\\e=b\\ec\\sd\n");
+  ASSERT_TRUE(escaped.ok()) << escaped.status().ToString();
+  EXPECT_EQ(NodeValue(*escaped, 0, "a=")->AsString(), "b=c;d");
+}
+
 TEST(GraphIoTest, AcceptsCrlfLineEndingsAndIndentation) {
   auto result = LoadGraphText("N 0 A a=1\r\n  N 1 B\r\nE 0 0 1 R\r\n");
   ASSERT_TRUE(result.ok()) << result.status().ToString();

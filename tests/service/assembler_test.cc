@@ -142,6 +142,27 @@ TEST(GraphAssemblerTest, EdgeNeedsMaterializedEndpoints) {
   EXPECT_TRUE(assembler.CheckComplete().ok());
 }
 
+// A props pair without exactly one unescaped '=' fails the payload with a
+// ParseError that quotes the record, on N, R and E records alike.
+TEST(GraphAssemblerTest, BadPropsPairIsAParseErrorQuotingTheRecord) {
+  for (const std::string record :
+       {"N 1 B k\n", "R 1 B a=b=c\n", "E 0 0 1 REL x=1;;y=2\n"}) {
+    pg::PropertyGraph g;
+    GraphAssembler assembler(&g);
+    pg::GraphBatch batch;
+    ASSERT_TRUE(assembler.ApplyPayload("G 2 1\nN 0 A -\n", &batch).ok());
+    if (record[0] == 'E') {
+      ASSERT_TRUE(assembler.ApplyPayload("N 1 B -\n", &batch).ok());
+    }
+    const util::Status status = assembler.ApplyPayload(record, &batch);
+    ASSERT_FALSE(status.ok()) << record;
+    EXPECT_EQ(status.code(), util::StatusCode::kParseError) << record;
+    EXPECT_NE(status.message().find(record.substr(0, record.size() - 1)),
+              std::string::npos)
+        << status.message();
+  }
+}
+
 TEST(GraphAssemblerTest, CheckCompleteReportsUnfilledElements) {
   pg::PropertyGraph g;
   GraphAssembler assembler(&g);
