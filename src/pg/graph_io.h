@@ -84,7 +84,7 @@ util::StatusOr<PropertyGraph> LoadGraphText(const std::string& text);
 /// Parses the graph-text format into an existing graph that has no nodes
 /// or edges yet. The graph's vocabulary MAY already hold interned labels and
 /// keys — replayed records then resolve to their existing ids — which is how
-/// pghived's load-state path rebuilds a mid-stream graph after restoring the
+/// a pghived checkpoint restore rebuilds a mid-stream graph after restoring the
 /// snapshotted vocabulary (whose id order the stream preamble had fixed).
 /// Errors name the offending line number.
 util::Status LoadGraphTextInto(std::string_view text, PropertyGraph* graph);

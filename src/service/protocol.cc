@@ -1,8 +1,5 @@
 #include "service/protocol.h"
 
-#include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -39,14 +36,14 @@ Response BodyResponse(std::string info, std::string body) {
   return response;
 }
 
-/// Picks the requested rendering out of a snapshot; empty form = "pgs".
-util::StatusOr<std::string> SnapshotForm(const SchemaSnapshot& snapshot,
-                                         const std::string& form) {
-  if (form.empty() || form == "pgs") return snapshot.pgs_strict;
-  if (form == "pgs-loose") return snapshot.pgs_loose;
-  if (form == "xsd") return snapshot.xsd;
-  if (form == "describe") return snapshot.describe;
-  if (form == "binary") return snapshot.binary;
+/// The snapshot member holding the named rendering.
+util::StatusOr<std::string SchemaSnapshot::*> SnapshotForm(
+    const std::string& form) {
+  if (form == "pgs") return &SchemaSnapshot::pgs_strict;
+  if (form == "pgs-loose") return &SchemaSnapshot::pgs_loose;
+  if (form == "xsd") return &SchemaSnapshot::xsd;
+  if (form == "describe") return &SchemaSnapshot::describe;
+  if (form == "binary") return &SchemaSnapshot::binary;
   return util::Status::InvalidArgument(
       "unknown schema form '" + form +
       "' (want pgs, pgs-loose, xsd, describe, or binary)");
@@ -148,8 +145,6 @@ Response RequestHandler::Handle(const Request& request) {
   if (request.command == "ingest-batch") return HandleIngestBatch(request);
   if (request.command == "get-schema") return HandleGetSchema(request);
   if (request.command == "validate") return HandleValidate(request);
-  if (request.command == "save-state") return HandleSaveState(request);
-  if (request.command == "load-state") return HandleLoadState(request);
   if (request.command == "session-info") return HandleSessionInfo(request);
   if (request.command == "subscribe-changefeed") {
     return HandleSubscribeChangefeed(request);
@@ -205,16 +200,20 @@ Response RequestHandler::HandleIngestBatch(const Request& request) {
 }
 
 Response RequestHandler::HandleGetSchema(const Request& request) {
-  if (request.args.empty() || request.args.size() > 3) {
+  // Everything is validated before FinalSnapshot() below enqueues Finish:
+  // a malformed request must not end the stream.
+  const bool want_snapshot =
+      request.args.size() > 1 && request.args.back() == "snapshot";
+  // <session> [form], without the trailing snapshot token.
+  const size_t positional = request.args.size() - (want_snapshot ? 1 : 0);
+  if (positional < 1 || positional > 2) {
     return ErrorResponse(util::Status::InvalidArgument(
         "usage: get-schema <session> [form] [snapshot]"));
   }
+  auto form = SnapshotForm(positional == 2 ? request.args[1] : "pgs");
+  if (!form.ok()) return ErrorResponse(form.status());
   auto session = manager_->Lookup(request.args[0]);
   if (!session.ok()) return ErrorResponse(session.status());
-  std::string form = request.args.size() > 1 ? request.args[1] : "pgs";
-  const bool want_snapshot =
-      !request.args.empty() && request.args.back() == "snapshot";
-  if (request.args.size() == 2 && want_snapshot) form = "pgs";
 
   std::shared_ptr<const SchemaSnapshot> snapshot;
   if (want_snapshot) {
@@ -228,13 +227,11 @@ Response RequestHandler::HandleGetSchema(const Request& request) {
     if (!final_snapshot.ok()) return ErrorResponse(final_snapshot.status());
     snapshot = *final_snapshot;
   }
-  auto body = SnapshotForm(*snapshot, form);
-  if (!body.ok()) return ErrorResponse(body.status());
   std::string info = "schema " + std::string(snapshot->is_final ? "final"
                                                                 : "snapshot") +
                      " version " + std::to_string(snapshot->version) +
                      " batches " + std::to_string(snapshot->batches);
-  return BodyResponse(std::move(info), *std::move(body));
+  return BodyResponse(std::move(info), (*snapshot).*(*form));
 }
 
 Response RequestHandler::HandleValidate(const Request& request) {
@@ -251,48 +248,6 @@ Response RequestHandler::HandleValidate(const Request& request) {
                       result->report);
 }
 
-Response RequestHandler::HandleSaveState(const Request& request) {
-  if (request.args.size() != 2) {
-    return ErrorResponse(util::Status::InvalidArgument(
-        "usage: save-state <session> <path>"));
-  }
-  auto session = manager_->Lookup(request.args[0]);
-  if (!session.ok()) return ErrorResponse(session.status());
-  auto bytes = (*session)->SaveState();
-  if (!bytes.ok()) return ErrorResponse(bytes.status());
-  const std::string& path = request.args[1];
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(bytes->data(), static_cast<std::streamsize>(bytes->size()));
-    if (!out) return ErrorResponse(util::Status::IoError("cannot write " + tmp));
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return ErrorResponse(
-        util::Status::IoError("cannot rename " + tmp + " to " + path));
-  }
-  return OkResponse("saved " + request.args[0] + " bytes " +
-                    std::to_string(bytes->size()));
-}
-
-Response RequestHandler::HandleLoadState(const Request& request) {
-  if (request.args.size() != 1) {
-    return ErrorResponse(
-        util::Status::InvalidArgument("usage: load-state <path>"));
-  }
-  std::ifstream in(request.args[0], std::ios::binary);
-  if (!in) {
-    return ErrorResponse(
-        util::Status::IoError("cannot open " + request.args[0]));
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  auto session = manager_->CreateSessionFromState(bytes);
-  if (!session.ok()) return ErrorResponse(session.status());
-  return OkResponse("session " + (*session)->id() + " batches " +
-                    std::to_string((*session)->batches_ingested()));
-}
-
 Response RequestHandler::HandleSessionInfo(const Request& request) {
   if (request.args.size() != 1) {
     return ErrorResponse(
@@ -300,8 +255,7 @@ Response RequestHandler::HandleSessionInfo(const Request& request) {
   }
   auto session = manager_->Lookup(request.args[0]);
   if (!session.ok()) return ErrorResponse(session.status());
-  // Mirrors the load-state response shape: the batch count tells a resuming
-  // client how many payloads to skip.
+  // The batch count tells a resuming client how many payloads to skip.
   return OkResponse("session " + (*session)->id() + " batches " +
                     std::to_string((*session)->batches_ingested()));
 }

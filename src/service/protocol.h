@@ -23,18 +23,14 @@ namespace pghive::service {
 ///       server rejects versions newer than kProtocolVersion with a clear
 ///       FailedPrecondition instead of misparsing unknown requests later.
 ///   ingest-batch <session> <n>  + body  one ingest payload (see assembler)
-///   get-schema <session> <form> [snapshot]
-///       form: pgs | pgs-loose | xsd | describe | binary
+///   get-schema <session> [form] [snapshot]
+///       form: pgs (default) | pgs-loose | xsd | describe | binary
 ///       default waits for the stream to finish (enqueues Finish once) and
-///       returns the final schema; `snapshot` returns the latest published
-///       snapshot immediately without draining the session's lane.
+///       returns the final schema; a trailing `snapshot` returns the latest
+///       published snapshot immediately without draining the session's lane.
+///       A bad form or trailing token is refused before anything is
+///       enqueued, so a typo never finishes the session.
 ///   validate <session> <strict|loose> <n>  + body (a PG-Schema text)
-///   save-state <session> <path>         serialize the session to a server-
-///                                       side file (Session::SaveState)
-///   load-state <path>                   restore such a file as a NEW
-///                                       session; "OK session <id> batches
-///                                       <k>" tells the client how many
-///                                       payloads to skip when resuming
 ///   subscribe-changefeed <session> <after-version> [timeout-ms]
 ///       long-polls for schema-diff records with version > after-version;
 ///       the body is a core::ParseSchemaDiffStream byte stream (empty on
@@ -45,8 +41,13 @@ namespace pghive::service {
 ///                                       an existing session — how a client
 ///                                       resumes against a daemon that
 ///                                       restored the session from its own
-///                                       checkpoint (no load-state needed)
+///                                       --checkpoint-dir; <k> is how many
+///                                       payloads to skip
 ///   close <session>
+///
+/// Durability is the daemon's own: with --checkpoint-dir every session is
+/// checkpointed and journaled there and restored on restart. No verb reads
+/// or writes a client-named server path.
 ///
 /// Responses:
 ///
@@ -60,7 +61,8 @@ namespace pghive::service {
 ///   2 — adds proto= handshake, save-state, load-state, subscribe-changefeed.
 ///   3 — adds session-info; subscribe-changefeed can serve pre-backlog
 ///       versions from the daemon's checkpoint-dir feed segments.
-constexpr uint32_t kProtocolVersion = 3;
+///   4 — removes save-state and load-state; durability is `--checkpoint-dir`.
+constexpr uint32_t kProtocolVersion = 4;
 struct Request {
   std::string command;
   std::vector<std::string> args;  ///< Tokens after the command.
@@ -103,8 +105,6 @@ class RequestHandler {
   Response HandleIngestBatch(const Request& request);
   Response HandleGetSchema(const Request& request);
   Response HandleValidate(const Request& request);
-  Response HandleSaveState(const Request& request);
-  Response HandleLoadState(const Request& request);
   Response HandleSessionInfo(const Request& request);
   Response HandleSubscribeChangefeed(const Request& request);
   Response HandleClose(const Request& request);

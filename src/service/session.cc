@@ -17,6 +17,7 @@
 #include "core/serialize.h"
 #include "core/validator.h"
 #include "pg/graph_io.h"
+#include "util/atomic_write.h"
 #include "util/binio.h"
 
 namespace pghive::service {
@@ -24,8 +25,9 @@ namespace pghive::service {
 namespace {
 
 constexpr char kSessionMagic[4] = {'P', 'G', 'H', 'D'};
-// v1: self-contained (graph text + assembler sections); SaveState still
-// writes it. v2: scheduled checkpoints, whose graph is in the journal.
+// v1: self-contained (graph text + assembler sections); no longer written,
+// but checkpoint dirs left by older builds still restore. v2: every
+// checkpoint, whose graph is in the journal.
 constexpr uint32_t kSelfContainedVersion = 1;
 constexpr uint32_t kJournaledVersion = 2;
 
@@ -41,25 +43,6 @@ constexpr uint32_t kJournalSection = 5;
 /// Ceiling on one WaitForDiffs long-poll, so a subscriber can never wedge
 /// server shutdown for longer than this.
 constexpr uint64_t kMaxFeedWaitMs = 30000;
-
-/// Writes `bytes` to `path` atomically: a sibling tmp file, then rename, so
-/// a crash mid-write never leaves a torn file under the real name.
-util::Status AtomicWriteFile(const std::string& path,
-                             const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-      return util::Status::IoError("cannot write " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return util::Status::IoError("cannot rename " + tmp + " to " + path);
-  }
-  return util::Status::Ok();
-}
 
 /// Reconciles a feed segment file with a restored session's version counter:
 /// keeps the longest clean prefix of records numbered contiguously
@@ -82,7 +65,7 @@ util::Status TruncateFeedFile(const std::string& path, uint64_t max_version) {
     ++expect;
   }
   if (keep == bytes.size()) return util::Status::Ok();
-  return AtomicWriteFile(path, bytes.substr(0, keep));
+  return util::AtomicWriteFile(path, std::string_view(bytes).substr(0, keep));
 }
 
 /// Frames one journal record: a util/binio section whose id is the batch
@@ -361,21 +344,14 @@ util::Status Session::status() const {
   return status_;
 }
 
-util::StatusOr<std::string> Session::BuildStateBytes(bool self_contained) {
+util::StatusOr<std::string> Session::BuildStateBytes() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!status_.ok()) return status_;
   }
   std::string bytes;
   bytes.append(kSessionMagic, sizeof(kSessionMagic));
-  util::PutU32(&bytes,
-               self_contained ? kSelfContainedVersion : kJournaledVersion);
-  if (self_contained) {
-    util::AppendSection(&bytes, kGraphTextSection, pg::SaveGraphText(*graph_));
-    std::string assembler;
-    assembler_->AppendStateTo(&assembler);
-    util::AppendSection(&bytes, kAssemblerSection, assembler);
-  }
+  util::PutU32(&bytes, kJournaledVersion);
   std::ostringstream hive;
   util::Status saved = hive_->SaveState(hive);
   if (!saved.ok()) return saved;
@@ -391,24 +367,22 @@ util::StatusOr<std::string> Session::BuildStateBytes(bool self_contained) {
     util::PutU8(&counters, finish_submitted_ ? 1 : 0);
   }
   util::AppendSection(&bytes, kCountersSection, counters);
-  if (!self_contained) {
-    std::string journal;
-    util::PutU64(&journal, journal_first_batch_);
-    util::AppendSection(&bytes, kJournalSection, journal);
-  }
+  std::string journal;
+  util::PutU64(&journal, journal_first_batch_);
+  util::AppendSection(&bytes, kJournalSection, journal);
   return bytes;
 }
 
 util::Status Session::CheckpointInLane() {
   if (durability_.state_path.empty()) return util::Status::Ok();
-  auto bytes = BuildStateBytes(/*self_contained=*/false);
+  auto bytes = BuildStateBytes();
   if (!bytes.ok()) return bytes.status();
   // The checkpoint counts journal records, so every one of them must be in
   // the file before the checkpoint replaces its predecessor.
   if (journal_out_.is_open() && !journal_out_.flush()) {
     return util::Status::IoError("cannot flush journal " + journal_path_);
   }
-  return AtomicWriteFile(durability_.state_path, *bytes);
+  return util::AtomicWriteFile(durability_.state_path, *bytes);
 }
 
 util::Status Session::ReplayJournal(uint64_t first_batch, uint64_t batches) {
@@ -469,18 +443,7 @@ util::Status Session::RebaseJournal(uint64_t batches) {
   util::Status framed = AppendJournalSection(
       &record, batches, assembler_->AssembledPayload());
   if (!framed.ok()) return framed;
-  return AtomicWriteFile(journal_path_, record);
-}
-
-util::StatusOr<std::string> Session::SaveState() {
-  auto task = std::make_shared<
-      std::packaged_task<util::StatusOr<std::string>()>>(
-      [this] { return BuildStateBytes(/*self_contained=*/true); });
-  std::future<util::StatusOr<std::string>> future = task->get_future();
-  if (!queue_->Submit(id_, [task] { (*task)(); })) {
-    return util::Status::FailedPrecondition("service is shutting down");
-  }
-  return future.get();
+  return util::AtomicWriteFile(journal_path_, record);
 }
 
 util::Status Session::WriteCheckpoint() {

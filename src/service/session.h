@@ -88,16 +88,15 @@ class Session {
       util::ThreadPool* pool, JobQueue* queue,
       SessionDurability durability = {});
 
-  /// Rebuilds a session from "PGHD" bytes: SaveState bytes (the pghived
-  /// load-state verb) or a scheduled checkpoint. Restores the hive snapshot
-  /// into a fresh hive (vocabulary first, so the replayed graph below
-  /// resolves every label/key to its original id), then rebuilds the graph
-  /// and the assembler's fill bitmaps — from the graph text and assembler
-  /// sections of a self-contained snapshot, or by replaying the first
-  /// `batches` records of durability.journal_path() for a checkpoint — and
-  /// restores the session counters. Streaming the remaining batches
-  /// afterwards produces a schema byte-identical to the uninterrupted
-  /// session's.
+  /// Rebuilds a session from the "PGHD" bytes of a checkpoint. Restores the
+  /// hive snapshot into a fresh hive (vocabulary first, so the replayed graph
+  /// below resolves every label/key to its original id), then rebuilds the
+  /// graph and the assembler's fill bitmaps — by replaying the first
+  /// `batches` records of durability.journal_path() (v2), or from the graph
+  /// text and assembler sections of a self-contained v1 checkpoint that an
+  /// older build wrote — and restores the session counters. Streaming the
+  /// remaining batches afterwards produces a schema byte-identical to the
+  /// uninterrupted session's.
   static util::StatusOr<std::shared_ptr<Session>> CreateFromState(
       std::string id, const std::string& bytes, util::ThreadPool* pool,
       JobQueue* queue, SessionDurability durability = {});
@@ -138,12 +137,6 @@ class Session {
   util::StatusOr<ValidationResult> Validate(const std::string& pgs_text,
                                             bool strict);
 
-  /// Serializes the session — graph text, assembler progress, the full
-  /// PgHive state, and the session counters — as a lane job, so the bytes
-  /// always describe a batch boundary ("PGHD" magic + u32 version +
-  /// CRC-framed util/binio sections). Restore with CreateFromState.
-  util::StatusOr<std::string> SaveState();
-
   /// Checkpoints the session to its durability state_path now, as a lane job
   /// (so the bytes always describe a batch boundary), waiting for the write.
   /// The checkpoint holds the hive state and counters; the graph is in the
@@ -182,10 +175,11 @@ class Session {
   /// (spilled to the feed segment file *before* the version becomes visible,
   /// so the file always covers every published version). Lane jobs only.
   void Publish(bool is_final);
-  /// Serializes the session snapshot bytes: self-contained (graph text and
-  /// assembler sections, the SaveState layout) or, for checkpoints, with a
-  /// section that points at the graph journal instead. Lane jobs only.
-  util::StatusOr<std::string> BuildStateBytes(bool self_contained);
+  /// Serializes the checkpoint bytes ("PGHD" magic + u32 version 2 +
+  /// CRC-framed util/binio sections): the full PgHive state, the session
+  /// counters, and the batch sequence of the graph journal's first record.
+  /// Lane jobs only.
+  util::StatusOr<std::string> BuildStateBytes();
   /// Flushes the journal, then writes the checkpoint atomically (tmp +
   /// rename) to durability_.state_path; Ok when no path is configured. Lane
   /// jobs only.
@@ -197,7 +191,7 @@ class Session {
   /// empty graph (failing with the file and record index when one of them
   /// is missing or corrupt), then truncates the file after the last one.
   util::Status ReplayJournal(uint64_t first_batch, uint64_t batches);
-  /// Restore of a self-contained snapshot into a journaled session: rewrites
+  /// Restore of a self-contained v1 checkpoint: rewrites
   /// the journal as one record holding the whole restored graph, numbered
   /// `batches`, so later checkpoints can point at it.
   util::Status RebaseJournal(uint64_t batches);
@@ -230,7 +224,7 @@ class Session {
   /// Appender for journal_path_ (lazily opened); lane jobs only.
   std::ofstream journal_out_;
   /// Batch sequence of the journal's first record: 1, or k when a restore
-  /// from a self-contained snapshot folded batches 1..k into one record.
+  /// from a self-contained v1 checkpoint folded batches 1..k into one record.
   uint64_t journal_first_batch_ = 1;
 
   mutable std::mutex mutex_;

@@ -63,22 +63,6 @@ util::StatusOr<std::shared_ptr<Session>> SessionManager::CreateSession(
   return *session;
 }
 
-util::StatusOr<std::shared_ptr<Session>> SessionManager::CreateSessionFromState(
-    const std::string& bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (sessions_.size() >= options_.max_sessions) {
-    return util::Status::FailedPrecondition(
-        "session limit reached (" + std::to_string(options_.max_sessions) +
-        "); close a session first");
-  }
-  std::string id = "s" + std::to_string(next_id_++);
-  auto session =
-      Session::CreateFromState(id, bytes, pool_, &queue_, DurabilityFor(id));
-  if (!session.ok()) return session.status();
-  sessions_[id] = *session;
-  return *session;
-}
-
 util::Status SessionManager::RestoreFromCheckpointDir() {
   if (options_.checkpoint_dir.empty()) return util::Status::Ok();
   namespace fs = std::filesystem;

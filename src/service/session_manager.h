@@ -50,13 +50,6 @@ class SessionManager {
   util::StatusOr<std::shared_ptr<Session>> CreateSession(
       const std::map<std::string, std::string>& option_flags);
 
-  /// Restores a session from Session::SaveState bytes under a fresh id (the
-  /// load-state verb). The restored session continues exactly where the
-  /// saved one stopped; ids are never recycled, so the new id differs from
-  /// the one the state was saved under.
-  util::StatusOr<std::shared_ptr<Session>> CreateSessionFromState(
-      const std::string& bytes);
-
   /// NotFound if absent (or already closed).
   util::StatusOr<std::shared_ptr<Session>> Lookup(const std::string& id) const;
 
@@ -70,7 +63,9 @@ class SessionManager {
 
   /// Restores every <id>.pghd snapshot found in checkpoint_dir (creating
   /// the directory if absent) under its original id, so a restarted daemon
-  /// serves get-schema and subscribe-changefeed with no client load-state.
+  /// serves get-schema and subscribe-changefeed as if it never stopped. This
+  /// is the only restore path: to move a session to another daemon, copy its
+  /// <id>.pghd, <id>.journal and <id>.feed into that daemon's dir.
   /// Fresh ids continue past every id seen on disk. Fails loudly on the
   /// first unreadable or corrupt snapshot — silently dropping a tenant's
   /// state is worse than refusing to start. No-op without a checkpoint_dir.

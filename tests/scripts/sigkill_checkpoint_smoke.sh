@@ -5,8 +5,8 @@
 # .pghd, the graph journal and the feed segment survive), restart it over the
 # same directory, and resume the restored session with --session s1. The
 # resumed schema and the full changefeed served over the wire must be
-# byte-identical to the one-shot run. The same scenario runs in the CI
-# release job.
+# byte-identical to the one-shot run. Registered as ctest
+# cli_sigkill_checkpoint_smoke, so it runs in every CI job that runs the suite.
 #
 # Usage: sigkill_checkpoint_smoke.sh <pghive> <pghived> <workdir>
 set -eu

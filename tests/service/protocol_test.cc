@@ -141,6 +141,15 @@ TEST_F(HandlerTest, PingPong) {
 TEST_F(HandlerTest, UnknownCommandErrors) {
   Response response = Run("frobnicate");
   EXPECT_FALSE(response.status.ok());
+  // Protocol 4 retired the client-driven durability verbs: the daemon never
+  // reads or writes a server path a client names.
+  for (const char* retired : {"save-state s1 /tmp/state", "load-state x"}) {
+    Response refused = Run(retired);
+    ASSERT_FALSE(refused.status.ok()) << retired;
+    EXPECT_NE(refused.status.message().find("unknown command"),
+              std::string::npos)
+        << refused.status.ToString();
+  }
 }
 
 TEST_F(HandlerTest, CreateSessionParsesKnobsAndRejectsBadOnes) {
@@ -252,65 +261,6 @@ TEST_F(HandlerTest, SnapshotFormReturnsLatestWithoutFinishing) {
   EXPECT_TRUE(second.status.ok()) << second.status.ToString();
 }
 
-TEST_F(HandlerTest, SaveAndLoadStateRoundTripOverTheHandler) {
-  pg::PropertyGraph g;
-  auto a = g.AddNode({"Person"});
-  g.SetNodeProperty(a, "name", pg::Value("Ann"));
-  auto b = g.AddNode({"Person"});
-  g.SetNodeProperty(b, "name", pg::Value("Bo"));
-  g.AddEdge(a, b, {"KNOWS"});
-  auto payloads = BuildIngestPayloads(g, /*num_batches=*/2);
-  ASSERT_EQ(payloads.size(), 2u);
-
-  Response created = Run("create-session");
-  ASSERT_TRUE(created.status.ok());
-  const std::string id = SessionIdOf(created);
-  ASSERT_TRUE(Run("ingest-batch " + id + " " +
-                      std::to_string(payloads[0].size()),
-                  payloads[0])
-                  .status.ok());
-
-  const std::string path = ::testing::TempDir() + "/handler_state.bin";
-  Response saved = Run("save-state " + id + " " + path);
-  ASSERT_TRUE(saved.status.ok()) << saved.status.ToString();
-  EXPECT_NE(saved.info.find("saved " + id + " bytes "), std::string::npos);
-
-  // Finish the original session: the ground truth schema.
-  ASSERT_TRUE(Run("ingest-batch " + id + " " +
-                      std::to_string(payloads[1].size()),
-                  payloads[1])
-                  .status.ok());
-  Response expected = Run("get-schema " + id + " pgs");
-  ASSERT_TRUE(expected.status.ok());
-
-  // A second manager/handler pair simulates the restarted daemon.
-  SessionManager fresh_manager(nullptr);
-  RequestHandler restarted(&fresh_manager);
-  auto RunRestarted = [&](const std::string& line, const std::string& body) {
-    auto request = ParseRequestLine(line);
-    EXPECT_TRUE(request.ok()) << line;
-    request->body = body;
-    return restarted.Handle(*request);
-  };
-  Response loaded = RunRestarted("load-state " + path, "");
-  ASSERT_TRUE(loaded.status.ok()) << loaded.status.ToString();
-  EXPECT_NE(loaded.info.find("batches 1"), std::string::npos);
-  const std::string restored_id = SessionIdOf(loaded);
-  ASSERT_TRUE(RunRestarted("ingest-batch " + restored_id + " " +
-                               std::to_string(payloads[1].size()),
-                           payloads[1])
-                  .status.ok());
-  Response resumed = RunRestarted("get-schema " + restored_id + " pgs", "");
-  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
-  EXPECT_EQ(resumed.body, expected.body);
-
-  // Bad paths stay errors, not crashes.
-  EXPECT_FALSE(Run("save-state nosuch " + path).status.ok());
-  EXPECT_FALSE(Run("save-state " + id).status.ok());
-  EXPECT_FALSE(
-      RunRestarted("load-state " + path + ".does-not-exist", "").status.ok());
-}
-
 TEST_F(HandlerTest, SessionInfoReportsBatchesForResume) {
   pg::PropertyGraph g;
   auto a = g.AddNode({"Person"});
@@ -324,7 +274,7 @@ TEST_F(HandlerTest, SessionInfoReportsBatchesForResume) {
   ASSERT_TRUE(created.status.ok());
   const std::string id = SessionIdOf(created);
 
-  // Mirrors the load-state reply shape so resuming clients parse one form.
+  // The batch count is how many payloads a resuming client skips.
   Response empty = Run("session-info " + id);
   ASSERT_TRUE(empty.status.ok()) << empty.status.ToString();
   EXPECT_EQ(empty.info, "session " + id + " batches 0");
@@ -387,7 +337,21 @@ TEST_F(HandlerTest, UnknownSessionAndBadFormsError) {
   Response created = Run("create-session");
   ASSERT_TRUE(created.status.ok());
   EXPECT_FALSE(Run("get-schema s1 hieroglyphs").status.ok());
+  EXPECT_FALSE(Run("get-schema s1 xsd snapshott").status.ok());
+  EXPECT_FALSE(Run("get-schema s1 hieroglyphs snapshot").status.ok());
   EXPECT_FALSE(Run("validate s1 sorta 0").status.ok());
+
+  // A malformed get-schema is refused before Finish is enqueued: the
+  // session is not finished, and ingest still succeeds.
+  pg::PropertyGraph g;
+  auto a = g.AddNode({"Person"});
+  g.SetNodeProperty(a, "name", pg::Value("Ann"));
+  auto payloads = BuildIngestPayloads(g, /*num_batches=*/1);
+  Response ingested = Run("ingest-batch s1 " +
+                              std::to_string(payloads[0].size()),
+                          payloads[0]);
+  EXPECT_TRUE(ingested.status.ok()) << ingested.status.ToString();
+  EXPECT_EQ(ingested.info, "batch 1");
 }
 
 }  // namespace

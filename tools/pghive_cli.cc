@@ -30,22 +30,20 @@
 //   validate  --graph FILE --schema FILE.pgs [--strict]
 //       Validates a graph against a PG-Schema file.
 //   client    --graph FILE (--port N | --port-file FILE) [--batches N]
-//             [--out PREFIX] [--loose] [--stop-after K] [--save-state PATH]
-//             [--load-state PATH] [--session ID] [--changefeed-out FILE]
-//             [discover knobs]
+//             [--out PREFIX] [--loose] [--stop-after K] [--session ID]
+//             [--changefeed-out FILE] [discover knobs]
 //       Streams a graph file into a running pghived daemon batch by batch
 //       and fetches the discovered schema over the wire; with --out also
 //       writes PREFIX.pgs and PREFIX.xsd. Discovery knobs (--method,
 //       --threads, ...) are forwarded to create-session. The result is
 //       byte-identical to a local `discover --batches N` run with the same
-//       knobs (pinned by the service e2e tests and the CI smoke step).
-//       --stop-after K streams only the first K batches; --save-state asks
-//       the server to serialize the session to a server-side file, and
-//       --load-state resumes from one (skipping the batches it holds) — the
-//       CI crash smoke SIGKILLs pghived between the two. --session ID
-//       resumes an EXISTING session instead (one the daemon restored from
-//       its --checkpoint-dir after a SIGTERM): the client asks session-info
-//       for the batch count and streams the rest, no state file involved.
+//       knobs (pinned by the service e2e tests and cli_stream_smoke).
+//       --stop-after K streams only the first K batches and leaves the
+//       session open. --session ID resumes an EXISTING session instead (one
+//       the daemon restored from its --checkpoint-dir after a SIGTERM or a
+//       SIGKILL): the client asks session-info for the batch count and
+//       streams the rest. A resumed session keeps the knobs it was created
+//       with, so --session refuses every discovery knob.
 //       --changefeed-out FILE writes the session's full changefeed (from
 //       version 1, served from the daemon's feed segments when older than
 //       the in-memory backlog) as raw binary records.
@@ -82,6 +80,7 @@
 #include "pg/csv_import.h"
 #include "pg/graph_io.h"
 #include "service/client.h"
+#include "util/atomic_write.h"
 #include "util/parse.h"
 #include "util/timer.h"
 
@@ -170,22 +169,14 @@ util::Status CheckFlags(const Args& args, const std::set<std::string>& own) {
   return util::Status::Ok();
 }
 
-/// Atomically replaces `path` with a fresh SaveState snapshot (write to a
-/// temp sibling, then rename), so a crash mid-checkpoint never destroys the
-/// previous good checkpoint.
+/// Atomically replaces `path` with a fresh SaveState snapshot, so a crash
+/// mid-checkpoint never destroys the previous good checkpoint.
 util::Status WriteCheckpoint(const core::PgHive& pipeline,
                              const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return util::Status::IoError("cannot open " + tmp);
-    auto status = pipeline.SaveState(out);
-    if (!status.ok()) return status;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return util::Status::IoError("cannot rename " + tmp + " to " + path);
-  }
-  return util::Status::Ok();
+  std::ostringstream out;
+  auto status = pipeline.SaveState(out);
+  if (!status.ok()) return status;
+  return util::AtomicWriteFile(path, out.str());
 }
 
 int CmdDiscover(const Args& args) {
@@ -454,23 +445,26 @@ util::StatusOr<uint16_t> ResolvePort(const Args& args) {
 /// Streams a graph into a running pghived, batch by batch, and fetches the
 /// final schema — the wire-borne twin of CmdDiscover. The discovered schema
 /// is byte-identical to a local `pghive discover` run with the same knobs
-/// (pinned by the service e2e tests and the CI smoke step).
+/// (pinned by the service e2e tests and cli_stream_smoke).
 int CmdClient(const Args& args) {
   util::Status flags = CheckFlags(
       args, {"graph", "port", "port-file", "batches", "out", "loose",
-             "stop-after", "save-state", "load-state", "session",
-             "changefeed-out"});
+             "stop-after", "session", "changefeed-out"});
   if (!flags.ok()) return Fail(flags.ToString());
+  if (args.Has("session")) {
+    for (const std::string& knob : kDiscoveryKnobs) {
+      if (args.Has(knob)) {
+        return Fail("client: --" + knob + " cannot be combined with "
+                    "--session: a resumed session keeps the knobs it was "
+                    "created with");
+      }
+    }
+  }
   if (!args.Has("graph")) return Fail("client needs --graph FILE");
   auto resolved_port = ResolvePort(args);
   if (!resolved_port.ok()) return Fail(resolved_port.status().ToString());
   uint16_t port = *resolved_port;
   if (port == 0) return Fail("client needs --port N or --port-file FILE");
-  if (args.Has("load-state") && args.Has("session")) {
-    return Fail("--load-state and --session are exclusive: one restores a "
-                "state file, the other resumes a live (daemon-restored) "
-                "session");
-  }
   auto num_batches = util::ParseInt64InRange(args.Get("batches", "1"), 1,
                                              1000000, "--batches");
   if (!num_batches.ok()) return Fail(num_batches.status().ToString());
@@ -485,21 +479,7 @@ int CmdClient(const Args& args) {
   if (!client.ok()) return Fail(client.status().ToString());
   std::string session;
   size_t skip = 0;
-  if (args.Has("load-state")) {
-    // Resume a crashed/saved run: the server restores the snapshot as a new
-    // session and tells us how many batches it already holds.
-    auto restored = client->LoadState(args.Get("load-state"));
-    if (!restored.ok()) return Fail(restored.status().ToString());
-    session = restored->id;
-    skip = static_cast<size_t>(restored->batches);
-    if (skip > payloads.size()) {
-      return Fail("restored session already holds " + std::to_string(skip) +
-                  " batches but --batches only yields " +
-                  std::to_string(payloads.size()));
-    }
-    std::printf("restored session %s with %zu batches\n", session.c_str(),
-                skip);
-  } else if (args.Has("session")) {
+  if (args.Has("session")) {
     // Resume a session the daemon itself restored from --checkpoint-dir:
     // ask how many batches it already holds and stream the remainder.
     auto info = client->SessionInfo(args.Get("session"));
@@ -539,16 +519,10 @@ int CmdClient(const Args& args) {
   std::printf("streamed %zu batches to session %s\n", limit - skip,
               session.c_str());
 
-  if (args.Has("save-state")) {
-    auto bytes = client->SaveState(session, args.Get("save-state"));
-    if (!bytes.ok()) return Fail(bytes.status().ToString());
-    std::printf("saved session state to %s (%llu bytes)\n",
-                args.Get("save-state").c_str(),
-                static_cast<unsigned long long>(*bytes));
-  }
   if (limit < payloads.size()) {
-    // Partial stream: leave the session open for a later resume (the crash
-    // smoke SIGKILLs the server here and restores from --save-state).
+    // Partial stream: leave the session open for a later resume (the
+    // durability smokes stop or kill the daemon here and resume with
+    // --session).
     std::printf("stopped after %zu of %zu batches\n", limit, payloads.size());
     return 0;
   }
@@ -731,8 +705,7 @@ int main(int argc, char** argv) {
                "  validate --graph g.pg --schema s.pgs [--strict]\n"
                "  client   --graph FILE (--port N | --port-file FILE)"
                " [--batches N] [--out PREFIX] [--loose] [--stop-after K]"
-               " [--save-state PATH] [--load-state PATH] [--session ID]"
-               " [--changefeed-out FILE] [discover knobs]\n"
+               " [--session ID] [--changefeed-out FILE] [discover knobs]\n"
                "  changefeed --feed FILE\n"
                "  drift    (--feed FILE | (--port N | --port-file FILE)"
                " --session ID) [--from V] [--timeout-ms T]"

@@ -10,13 +10,13 @@
 // accepting, finishes in-flight requests, and drains every session's queued
 // jobs before exiting.
 //
-// With --checkpoint-dir the daemon is durable on its own authority: every
-// session journals its ingest payloads to DIR, checkpoints its discovery
-// state there after every --checkpoint-every ingested batches (default 1)
-// and once more during the SIGTERM drain, changefeed records
-// evicted from the in-memory backlog spill to per-session segment files in
-// DIR, and a restarted daemon restores every snapshot it finds there — no
-// client save-state/load-state required.
+// --checkpoint-dir is the daemon's one durability path: every session
+// journals its ingest payloads to DIR, checkpoints its discovery state there
+// after every --checkpoint-every ingested batches (default 1) and once more
+// during the SIGTERM drain, changefeed records evicted from the in-memory
+// backlog spill to per-session segment files in DIR, and a restarted daemon
+// restores every snapshot it finds there. Clients resume with
+// `pghive client --session ID`. Without it, sessions live in memory only.
 
 #include <chrono>
 #include <csignal>
